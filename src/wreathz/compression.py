@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate, compress
 from typing import Sequence
 
 from .basegroups import GroupSpec
@@ -40,24 +43,70 @@ class DistortionSample:
     h_mode: str
 
 
+@lru_cache(maxsize=None)
+def _move_tables(moves: int) -> tuple[bytes, bytes]:
+    """`bytes.translate` arguments turning the top byte of a 32-bit MT19937
+    output into a `randrange(moves)` attempt: the table keeps the top
+    k = moves.bit_length() bits, and the delete set lists the bytes whose
+    top k bits are >= moves, which `randrange` rejects and redraws.  Needs
+    k <= 8; a GroupSpec has at most four moves."""
+    k = moves.bit_length()
+    table = bytes(b >> (8 - k) for b in range(256))
+    return table, bytes(b for b in range(256) if table[b] >= moves)
+
+
+@lru_cache(maxsize=None)
+def _move_mask(move: int) -> bytes:
+    """`bytes.translate` table sending `move` to 1 and every other byte to 0."""
+    return bytes(b == move for b in range(256))
+
+
+# signed shift of each move: 0 steps right, 1 steps left, lamp moves stay
+_SHIFT_STEP = (1, -1) + (0,) * 254
+
+
+def _draw_moves(rng: random.Random, moves: int, length: int) -> bytes:
+    """The next `length` values `rng.randrange(moves)` would return, drawn in
+    bulk.  Each `randrange` attempt consumes one 32-bit output, so the top
+    bytes of `getrandbits(32 * m)` (little-endian words, oldest first) are
+    m consecutive attempts; rejected attempts are deleted in order.  The
+    generator ends up past the last accepted move (overdrawn), so callers
+    must not draw from it afterwards."""
+    table, reject = _move_tables(moves)
+    # an attempt is accepted with probability moves / 2**k; the 16 spare
+    # attempts keep refills uncommon without drawing much more than needed
+    per_move = (1 << moves.bit_length()) / moves
+    drawn = b""
+    while len(drawn) < length:
+        m = int((length - len(drawn)) * per_move) + 16
+        drawn += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(table, reject)
+    return drawn[:length]
+
+
 def _random_word(spec: GroupSpec, rng: random.Random, length: int) -> WreathElement:
+    """The product of `length` uniform generator moves drawn from `rng`.
+
+    Move j is the j-th value `rng.randrange(moves)` would return: 0 shifts
+    right, 1 shifts left, and 2 + i multiplies the lamp at the current
+    position by `spec.generator_values()[i]`.  The moves are drawn in bulk,
+    which leaves `rng` overdrawn.  The walk relies on H being abelian: a
+    lamp's final value is then the sum of the values applied at its
+    position, i.e. each lamp generator's per-position use count times its
+    value.
+    """
     lamp_values = spec.generator_values()
-    moves = len(lamp_values) + 2
-    lamps: dict[int, int] = {}
-    n = 0
-    for _ in range(length):
-        g = rng.randrange(moves)
-        if g == 0:
-            n += 1
-        elif g == 1:
-            n -= 1
-        else:
-            v = spec.mul(lamps.get(n, 0), lamp_values[g - 2])
-            if v:
-                lamps[n] = v
-            else:
-                del lamps[n]
-    return WreathElement(spec, tuple(sorted(lamps.items())), n)
+    moves = _draw_moves(rng, len(lamp_values) + 2, length)
+    # positions[j] is the lamplighter's position before move j
+    positions = list(accumulate(map(_SHIFT_STEP.__getitem__, moves), initial=0))
+    totals: dict[int, int] = {}
+    for move, value in enumerate(lamp_values, start=2):
+        for pos, uses in Counter(compress(positions, moves.translate(_move_mask(move)))).items():
+            totals[pos] = totals.get(pos, 0) + uses * value
+    # a list, not a generator: tuple() of a generator resizes its result,
+    # and in a long run such tuples pile up on CPython's tuple free lists
+    lamps = [(pos, v) for pos, v in zip(totals, map(spec.normalize, totals.values())) if v]
+    lamps.sort()
+    return WreathElement(spec, tuple(lamps), positions[-1])
 
 
 def sample_pairs(
@@ -75,9 +124,17 @@ def sample_pairs(
     embedded distance through the component norms.  Per-index string seeding
     keeps the output bit-identical for a fixed seed regardless of evaluation
     order.
+
+    Stream contract: sample i seeds `random.Random(f"{seed}/{i}")`, draws
+    its length with `randrange(scale + 1)`, and its word's moves are the
+    values `randrange(moves)` would return next from that generator.  The
+    bulk draw reproduces exactly that stream, so sample lists match those of
+    the earlier one-`randrange`-per-step sampler.
     """
     if count < 1:
         raise ValueError("need at least one sample")
+    if scale < 0:
+        raise ValueError(f"scale must be >= 0, got {scale}")
     out = []
     tm, hm = str(tree_mode), h_mode
     for i in range(count):
@@ -124,6 +181,8 @@ def fit_envelope(samples: Sequence[DistortionSample], buckets: int = 0) -> Envel
     [0, 1]; the representative abscissa of a bin is the length of its
     minimal sample.
     """
+    if buckets < 0:
+        raise ValueError(f"buckets must be >= 0, got {buckets}")
     usable = [s for s in samples if s.word_length >= 1 and s.embedded_dist > 0]
     if not usable:
         raise ValueError("no nonzero samples to fit")

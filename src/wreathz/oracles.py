@@ -29,10 +29,14 @@ class BudgetError(RuntimeError):
 
 
 def element_budget(budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_BUDGET
+    """The explicit budget, else the environment override, else the default;
+    a budget below 1 is a usage error, not an exhausted search."""
+    if budget is None:
+        raw = os.environ.get(BUDGET_ENV_VAR)
+        budget = int(raw) if raw else DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError(f"element budget must be >= 1, got {budget}")
+    return budget
 
 
 def generators(spec: GroupSpec) -> list[WreathElement]:
@@ -49,6 +53,8 @@ def cayley_bfs(
 ) -> dict[WreathElement, int]:
     """Exact word length of every element in the ball of the given radius,
     by breadth-first expansion over the standard generators."""
+    if radius_cap < 0:
+        raise ValueError(f"radius must be >= 0, got {radius_cap}")
     budget = element_budget(budget)
     lamp_values = spec.generator_values()
     start = ((), 0)

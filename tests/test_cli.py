@@ -41,6 +41,31 @@ def test_budget_error_gives_exit_3(capsys):
     assert "budget" in err
 
 
+def test_bad_oracle_inputs_are_usage_errors(capsys, monkeypatch):
+    for argv in (
+        ("ball", "--group", "Z/2", "--radius", "-3"),
+        ("ball", "--group", "Z/2", "--radius", "3", "--budget", "-1"),
+        ("properness", "--group", "Z/2", "--radius", "2", "--budget", "-1"),
+        ("properness", "--group", "Z/2", "--radius", "2", "--budget", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and ">= " in err
+    monkeypatch.setenv("WREATHZ_ELEMENT_BUDGET", "-1")
+    code, _, err = run(capsys, "ball", "--group", "Z/2", "--radius", "3")
+    assert code == 2 and "budget must be >= 1" in err
+
+
+def test_bad_sampler_inputs_are_usage_errors(capsys):
+    base = ["compress", "--group", "Z/2", "--count", "50", "--scale"]
+    code, out, err = run(capsys, *base, "-1")
+    assert (code, out) == (2, "")
+    assert "scale must be >= 0" in err
+    code, out, err = run(capsys, *base, "40", "--buckets", "-2")
+    assert (code, out) == (2, "")
+    assert "buckets must be >= 0" in err
+
+
 def test_ball_csv(capsys):
     code, out, _ = run(capsys, "ball", "--group", "Z/2", "--radius", "3")
     assert code == 0

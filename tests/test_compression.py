@@ -18,14 +18,85 @@ from wreathz import (
 from wreathz.compression import (
     EQUIVARIANT_CROSSOVER,
     UPPER_REFERENCE,
+    _random_word,
     audit_injectivity_gap,
     audit_lipschitz,
 )
-from wreathz.embeddings import embedded_distance
+from wreathz.embeddings import embedded_distance, identity_distance_squared
 from wreathz.wreath import WreathElement
 
 Z2 = cyclic(2)
 COCYCLE = TreeMode.cocycle()
+
+
+def reference_random_word(spec, rng, length):
+    """The per-step sampler the bulk draw must reproduce: one
+    `rng.randrange(moves)` per move, applied to a lamp dictionary."""
+    lamp_values = spec.generator_values()
+    moves = len(lamp_values) + 2
+    lamps: dict[int, int] = {}
+    n = 0
+    for _ in range(length):
+        g = rng.randrange(moves)
+        if g == 0:
+            n += 1
+        elif g == 1:
+            n -= 1
+        else:
+            v = spec.mul(lamps.get(n, 0), lamp_values[g - 2])
+            if v:
+                lamps[n] = v
+            else:
+                del lamps[n]
+    return WreathElement(spec, tuple(sorted(lamps.items())), n)
+
+
+def reference_sample_pairs(spec, tree_mode, h_mode, scale, count, seed):
+    out = []
+    for i in range(count):
+        rng = random.Random(f"{seed}/{i}")
+        y = reference_random_word(spec, rng, rng.randrange(scale + 1))
+        dist = math.sqrt(identity_distance_squared(y, tree_mode, h_mode))
+        out.append(DistortionSample(y.word_length(), dist, str(tree_mode), h_mode))
+    return out
+
+
+class CountingRandom(random.Random):
+    """Random that counts its bulk draws (getrandbits wider than one word)."""
+
+    bulk_draws = 0
+
+    def getrandbits(self, k):
+        if k > 32:
+            self.bulk_draws += 1
+        return super().getrandbits(k)
+
+
+SAMPLER_CONFIGS = (
+    (Z2, H_DIRAC_SIMPLEX),  # 3 moves
+    (cyclic(3), H_DIRAC_SIMPLEX),  # 4 moves
+    (INTEGERS, H_IDENTITY_LINE),  # 4 moves
+)
+
+
+@pytest.mark.parametrize("spec, h_mode", SAMPLER_CONFIGS, ids=str)
+@pytest.mark.parametrize("scale", [0, 1, 3, 1000])
+def test_sample_pairs_equal_per_step_reference(spec, h_mode, scale):
+    got = sample_pairs(spec, COCYCLE, h_mode, scale, 1000, 977)
+    assert got == reference_sample_pairs(spec, COCYCLE, h_mode, scale, 1000, 977)
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in SAMPLER_CONFIGS] + [cyclic(5)], ids=str)
+def test_random_word_equals_reference_across_refills(spec):
+    assert _random_word(spec, CountingRandom(1), 0) == WreathElement.identity(spec)
+    refilled = 0
+    for i in range(150):
+        length = 900 + i
+        rng, ref_rng = CountingRandom(f"w/{i}"), random.Random(f"w/{i}")
+        assert _random_word(spec, rng, length) == reference_random_word(spec, ref_rng, length)
+        refilled += rng.bulk_draws > 1
+    # the first bulk draw falls short often enough that the refill path runs
+    assert refilled >= 10
 
 
 def test_single_zero_length_sample():
@@ -51,8 +122,6 @@ def test_samples_zero_iff_identity():
 def test_sample_distances_match_vector_route():
     samples = sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, 12, 40, 3)
     # rebuild the words with the same seeds and compare against the full vectors
-    from wreathz.compression import _random_word
-
     e = WreathElement.identity(Z2)
     for i, s in enumerate(samples):
         rng = random.Random(f"3/{i}")
@@ -73,6 +142,8 @@ def test_audits_pass_on_seeded_runs():
 def test_count_validation():
     with pytest.raises(ValueError):
         sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, 10, 0, 1)
+    with pytest.raises(ValueError, match="scale must be >= 0"):
+        sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, -1, 5, 1)
 
 
 def fake(wl, d):
@@ -116,6 +187,8 @@ def test_fit_rejects_degenerate_input():
         fit_envelope([fake(7, 2.0), fake(7, 3.0)])
     with pytest.raises(ValueError, match="no nonzero"):
         fit_envelope([fake(0, 0.0)])
+    with pytest.raises(ValueError, match="buckets must be >= 0"):
+        fit_envelope([fake(wl, math.sqrt(wl)) for wl in range(1, 50)], buckets=-2)
 
 
 def test_spine_samples_give_exponent_half():

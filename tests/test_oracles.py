@@ -68,6 +68,11 @@ def test_bfs_agrees_with_formula_radius_5():
 def test_bfs_budget_guard():
     with pytest.raises(BudgetError):
         cayley_bfs(Z2, 8, budget=100)
+    # a budget below 1 or a negative radius is a usage error, not a search
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        cayley_bfs(Z2, 2, budget=0)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        ball_reports(Z2, -3)
 
 
 def test_budget_env_var(monkeypatch):
@@ -75,6 +80,9 @@ def test_budget_env_var(monkeypatch):
     with pytest.raises(BudgetError):
         cayley_bfs(Z2, 8)
     cayley_bfs(Z2, 3)  # under the reduced budget
+    monkeypatch.setenv("WREATHZ_ELEMENT_BUDGET", "-1")
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        cayley_bfs(Z2, 3)
     monkeypatch.delenv("WREATHZ_ELEMENT_BUDGET")
     cayley_bfs(Z2, 8)
 
