@@ -5,7 +5,7 @@ associated trees, explicit Hilbert-space embeddings with their affine
 actions, brute-force verification oracles, and an empirical distortion lab.
 """
 
-from .basegroups import INTEGERS, GroupElement, GroupSpec, ParseError, cyclic, parse_group
+from .basegroups import INTEGERS, GroupSpec, ParseError, cyclic, parse_group
 from .compression import (
     BoundSet,
     DistortionSample,
@@ -23,7 +23,6 @@ from .embeddings import (
     cocycle,
     embedded_distance,
     gamma_action_on_sum,
-    h_embed,
     iota,
     sigma,
     weighted_tree_embed,
@@ -49,7 +48,7 @@ from .trees import (
     geodesic,
     vertex_of,
 )
-from .vectors import GeomEdge, LampCoord, OrientedEdge, SparseVector, geom_edge
+from .vectors import GeomEdge, LampCoord, SignedEdge, SparseVector, geom_edge
 from .wreath import (
     SupportStats,
     WreathElement,
@@ -70,14 +69,13 @@ __all__ = [
     "DistortionSample",
     "EnvelopeFit",
     "GeomEdge",
-    "GroupElement",
     "GroupSpec",
     "H_DIRAC_SIMPLEX",
     "H_IDENTITY_LINE",
     "LampCoord",
-    "OrientedEdge",
     "ParseError",
     "PropernessReport",
+    "SignedEdge",
     "SparseVector",
     "SupportStats",
     "TreeMode",
@@ -101,7 +99,6 @@ __all__ = [
     "gamma_action_on_sum",
     "geodesic",
     "geom_edge",
-    "h_embed",
     "iota",
     "parse_element",
     "parse_group",

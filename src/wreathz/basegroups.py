@@ -3,8 +3,7 @@
 Element values are plain integers (residues normalized to [0, k) for Z/k).
 The generating set is fixed to {a, a^-1} with a = 1, so word lengths are
 closed-form: |n| on Z and min(j, k-j) on Z/k.  A GroupSpec bundles the group
-operations; GroupElement is a thin spec-carrying wrapper used at API
-boundaries (parsing, embeddings), while inner loops work on raw values.
+operations on those raw values.
 """
 
 from __future__ import annotations
@@ -78,9 +77,6 @@ class GroupSpec:
             return list(range(-radius, radius + 1))
         return [v for v in range(self.order) if self.word_length(v) <= radius]
 
-    def element(self, value: int) -> "GroupElement":
-        return GroupElement(self, value)
-
     def __str__(self) -> str:
         return "Z" if self.order is None else f"Z/{self.order}"
 
@@ -106,32 +102,3 @@ def parse_group(text: str) -> GroupSpec:
             raise ParseError(f"cyclic order must be >= 2, got {k}", text, text.find("/") + 1)
         return cyclic(k)
     raise ParseError("expected 'Z' or 'Z/k'", text, 0)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A value of a base group, normalized to canonical form."""
-
-    spec: GroupSpec
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.spec.normalize(self.value))
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.spec != other.spec:
-            raise ValueError(f"mismatched group specs: {self.spec} vs {other.spec}")
-        return GroupElement(self.spec, self.value + other.value)
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.spec, self.spec.inv(self.value))
-
-    def word_length(self) -> int:
-        return self.spec.word_length(self.value)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.value == 0
-
-    def __str__(self) -> str:
-        return str(self.value)

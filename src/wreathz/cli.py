@@ -14,7 +14,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .basegroups import ParseError, parse_group
-from .compression import bounds, fit_envelope, sample_pairs
+from .compression import bounds, fit_envelope, lower_envelope, sample_pairs
 from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, H_MODES, TreeMode, sigma
 from .oracles import BudgetError, ball_reports, properness_check
 from .trees import TreeSide, dist_from_base, format_vertex, vertex_of
@@ -166,15 +166,9 @@ def _cmd_compress(args) -> int:
         return 0
     fit = fit_envelope(samples, args.buckets)
     if args.emit == "envelope":
-        envelope = {}
-        for s in samples:
-            if s.word_length >= 1 and s.embedded_dist > 0:
-                cur = envelope.get(s.word_length)
-                if cur is None or s.embedded_dist < cur:
-                    envelope[s.word_length] = s.embedded_dist
         print("bucket,minDist")
-        for wl in sorted(envelope):
-            print(f"{wl},{envelope[wl]:.12f}")
+        for wl, d in lower_envelope(samples):
+            print(f"{wl},{d:.12f}")
         return 0
     print(f"exponent={fit.exponent:.12f}")
     print(f"lower_constant={fit.lower_constant:.12f}")

@@ -172,20 +172,25 @@ class EnvelopeFit:
     method: str
 
 
-def fit_envelope(samples: Sequence[DistortionSample], buckets: int = 0) -> EnvelopeFit:
-    """Fit dist ~ D * length^alpha through the envelope minima.
-
-    With buckets == 0 every distinct word length is its own bucket;
-    otherwise lengths are merged into that many geometric bins.  The
-    exponent is the least-squares slope in log-log coordinates, clamped to
-    [0, 1]; the representative abscissa of a bin is the length of its
-    minimal sample.
-    """
-    if buckets < 0:
-        raise ValueError(f"buckets must be >= 0, got {buckets}")
+def _usable(samples: Sequence[DistortionSample]) -> list[DistortionSample]:
+    """The samples a log-log fit can use: positive length and distance."""
     usable = [s for s in samples if s.word_length >= 1 and s.embedded_dist > 0]
     if not usable:
         raise ValueError("no nonzero samples to fit")
+    return usable
+
+
+def lower_envelope(samples: Sequence[DistortionSample], buckets: int = 0) -> list[tuple[int, float]]:
+    """The (word length, distance) of the minimal usable sample in each
+    bucket, sorted by length.
+
+    With buckets == 0 every distinct word length is its own bucket;
+    otherwise lengths are merged into that many geometric bins, each
+    represented by the length of its minimal sample.
+    """
+    if buckets < 0:
+        raise ValueError(f"buckets must be >= 0, got {buckets}")
+    usable = _usable(samples)
     max_len = max(s.word_length for s in usable)
     envelope: dict[int, tuple[float, int]] = {}
     for s in usable:
@@ -199,7 +204,17 @@ def fit_envelope(samples: Sequence[DistortionSample], buckets: int = 0) -> Envel
         cand = (s.embedded_dist, s.word_length)
         if key not in envelope or cand < envelope[key]:
             envelope[key] = cand
-    points = sorted({(wl, d) for d, wl in envelope.values()})
+    return sorted({(wl, d) for d, wl in envelope.values()})
+
+
+def fit_envelope(samples: Sequence[DistortionSample], buckets: int = 0) -> EnvelopeFit:
+    """Fit dist ~ D * length^alpha through the `lower_envelope` points.
+
+    The exponent is the least-squares slope in log-log coordinates, clamped
+    to [0, 1].
+    """
+    points = lower_envelope(samples, buckets)
+    lengths = [s.word_length for s in _usable(samples)]
     xs = [math.log(wl) for wl, _ in points]
     ys = [math.log(d) for _, d in points]
     if len(points) < 2 or max(xs) == min(xs):
@@ -217,8 +232,8 @@ def fit_envelope(samples: Sequence[DistortionSample], buckets: int = 0) -> Envel
     return EnvelopeFit(
         exponent=alpha,
         lower_constant=lower,
-        sample_count=len(usable),
-        length_range=(min(s.word_length for s in usable), max_len),
+        sample_count=len(lengths),
+        length_range=(min(lengths), max(lengths)),
         method=method,
     )
 

@@ -7,8 +7,8 @@ Three building blocks:
   the consecutive geometric edges of its geodesic to the base vertex, k
   counted from the moving vertex;
 * the edge-cocycle embedding (exactly sqrt of the tree distance, fully
-  equivariant): signed unit charges on the oriented geodesic edges, with the
-  half-sum inner product;
+  equivariant): a signed unit charge on each geodesic edge, one coordinate
+  per geometric edge;
 * per-lamp embeddings of the base group: the integers on a line, or a finite
   cyclic group on the vertices of a rescaled simplex.
 
@@ -23,9 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basegroups import GroupElement, GroupSpec
+from .basegroups import GroupSpec
 from .trees import TreeSide, TreeVertex, act, base_vertex, dist, dist_from_base, geodesic, vertex_of
-from .vectors import GeomEdge, LampCoord, OrientedEdge, SparseVector, geom_edge
+from .vectors import GeomEdge, LampCoord, SignedEdge, SparseVector, geom_edge
 from .wreath import WreathElement
 
 H_IDENTITY_LINE = "identity-line"
@@ -92,36 +92,22 @@ def weighted_tree_embed(v: TreeVertex, base: TreeVertex, eps) -> SparseVector:
 
 
 def cocycle(x: TreeVertex, y: TreeVertex) -> SparseVector:
-    """Signed oriented-edge charge of the geodesic from x to y.
+    """Unit charge along the geodesic from x to y: +1 on each edge it climbs,
+    -1 on each edge it descends.
 
-    Satisfies the chain rule c(x,y) + c(y,z) = c(x,z) and, under the half-sum
-    inner product, |c(x,y)|^2 = d(x,y), both exactly.
+    Satisfies the chain rule c(x,y) + c(y,z) = c(x,z) and |c(x,y)|^2 = d(x,y),
+    both exactly.
     """
     path = geodesic(x, y)
-    items = []
-    for a, b in zip(path, path[1:]):
-        items.append((OrientedEdge(a, b), 1))
-        items.append((OrientedEdge(b, a), -1))
-    return SparseVector(items)
+    return SparseVector(
+        (SignedEdge(a, b), 1) if a.level < b.level else (SignedEdge(b, a), -1)
+        for a, b in zip(path, path[1:])
+    )
 
 
 def iota(v: TreeVertex, base: TreeVertex) -> SparseVector:
     """Cocycle embedding of a tree vertex: distances map to their square roots."""
     return cocycle(base, v)
-
-
-def h_embed(h: GroupElement, h_mode: str) -> SparseVector:
-    """Embed a base-group value, keyed at lamp index 0.
-
-    identity-line: n maps to n * delta_0 (distortion-free on the integers).
-    dirac-simplex: h maps to (diam / sqrt 2) * delta_h, so distinct values
-    sit at exact mutual distance diam.
-    """
-    validate_h_mode(h.spec, h_mode)
-    if h_mode == H_IDENTITY_LINE:
-        return SparseVector([(LampCoord(0, 0), h.value)]) if h.value else SparseVector()
-    scale = h.spec.diameter / math.sqrt(2)
-    return SparseVector.single(LampCoord(0, h.value), scale)
 
 
 def lamp_component(spec: GroupSpec, index: int, value: int, h_mode: str) -> SparseVector:
@@ -197,10 +183,9 @@ class AffineMap:
         g, side = self.element, self.base.side
         items = []
         for key, value in vec.items():
-            if isinstance(key, OrientedEdge) and key.src.side is side:
-                key = OrientedEdge(act(g, key.src), act(g, key.dst))
-            elif isinstance(key, GeomEdge) and key.lo.side is side:
-                key = geom_edge(act(g, key.lo), act(g, key.hi))
+            if isinstance(key, GeomEdge) and key.lo.side is side:
+                # the action adds g.shift to every level, so lo stays below hi
+                key = type(key)(act(g, key.lo), act(g, key.hi))
             items.append((key, value))
         return SparseVector(items)
 
@@ -238,7 +223,7 @@ def gamma_action_on_sum(
     """The full affine action on the direct sum, under which the assembled
     embedding is equivariant: g . sigma(x) = sigma(g x).
 
-    The linear part permutes each tree's oriented edges through the vertex
+    The linear part permutes each tree's signed edges through the vertex
     action and the lamp blocks through index translation plus the base
     group's own action on its coordinates; the translation is sigma(g).
     Only the cocycle tree embedding is equivariant, so weighted-tree
@@ -255,8 +240,8 @@ def gamma_action_on_sum(
 
     items = []
     for key, value in vec.items():
-        if isinstance(key, OrientedEdge):
-            items.append((OrientedEdge(act(g, key.src), act(g, key.dst)), value))
+        if isinstance(key, SignedEdge):
+            items.append((SignedEdge(act(g, key.lo), act(g, key.hi)), value))
         elif isinstance(key, LampCoord):
             target = key.index + n
             if h_mode == H_DIRAC_SIMPLEX:

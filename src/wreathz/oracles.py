@@ -112,9 +112,10 @@ def ball_reports(
 
 
 def _raw_tree_neighbors(vert: tuple, values, plus_side: bool) -> list[tuple]:
-    """Adjacency on raw (level, tail) pairs, mirroring trees.neighbors.  The
-    entry adjacent to the level always sits at the tail's end nearest it, so
-    tail surgery is O(1)."""
+    """Tree adjacency on raw (level, tail) pairs, truncated to the given
+    non-identity lamp values: the unique spine-ward vertex plus one branch
+    per optional value at the level position.  The entry adjacent to the
+    level always sits at the tail's end nearest it, so tail surgery is O(1)."""
     n, tail = vert
     out = []
     if plus_side:
@@ -325,15 +326,9 @@ def _superset_members(
     yield from rec(0, [], 0)
 
 
-def properness_check(
-    spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None = None
-) -> PropernessReport:
-    """Count the elements with d(z, gamma z) <= radius exactly, by filtering
-    the finite candidate family of the finiteness argument.
-
-    Exactness needs an integer exponent; the two trees always carry the
-    graph metric.
-    """
+def _members_within(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None):
+    """Validate the inputs and return (radius, p, members): the elements of
+    the candidate family with d(z, gamma z) <= radius, yielded lazily."""
     if p < 1 or int(p) != p:
         raise ValueError(f"the exponent must be an integer >= 1, got {p}")
     p = int(p)
@@ -342,12 +337,13 @@ def properness_check(
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     rp = radius**p
-    budget = element_budget(budget)
+    candidates = _superset_members(spec, radius, p, h_mode, element_budget(budget))
+    members = (item for item in candidates if product_distance_pth(item, p, h_mode) <= rp)
+    return radius, p, members
+
+
+def _properness_report(spec: GroupSpec, radius: Fraction, p: int, h_mode: str, count: int) -> PropernessReport:
     r = int(radius)
-    count = 0
-    for item in _superset_members(spec, radius, p, h_mode, budget):
-        if product_distance_pth(item, p, h_mode) <= rp:
-            count += 1
     value_ball = _value_ball(spec, radius, h_mode)
     box = (len(value_ball) + 1) ** (2 * r + 1) * (2 * r + 1)
     return PropernessReport(
@@ -363,21 +359,30 @@ def properness_check(
     )
 
 
+def properness_check(
+    spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None = None
+) -> PropernessReport:
+    """Count the elements with d(z, gamma z) <= radius exactly, by filtering
+    the finite candidate family of the finiteness argument.
+
+    Exactness needs an integer exponent; the two trees always carry the
+    graph metric.
+    """
+    radius, p, members = _members_within(spec, radius, p, h_mode, budget)
+    return _properness_report(spec, radius, p, h_mode, sum(1 for _ in members))
+
+
 def properness_cross_check(
     spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None = None
 ) -> tuple[PropernessReport, int, bool]:
     """Two-sided count: the candidate-family filter against an exhaustive
     scan of the Cayley ball whose radius provably covers every solution.
     Returns (report, ball-scan count, sets agree)."""
-    report = properness_check(spec, radius, p, h_mode, budget)
-    radius = Fraction(radius)
-    rp = radius ** int(p)
-    scan_radius = properness_search_radius(spec, radius, int(p), h_mode)
+    radius, p, members = _members_within(spec, radius, p, h_mode, budget)
+    filtered = set(members)
+    report = _properness_report(spec, radius, p, h_mode, len(filtered))
+    scan_radius = properness_search_radius(spec, radius, p, h_mode)
     ball = cayley_bfs(spec, scan_radius, budget)
-    from_ball = {x for x in ball if product_distance_pth(x, int(p), h_mode) <= rp}
-    filtered = {
-        item
-        for item in _superset_members(spec, radius, int(p), h_mode, element_budget(budget))
-        if product_distance_pth(item, int(p), h_mode) <= rp
-    }
+    rp = radius**p
+    from_ball = {x for x in ball if product_distance_pth(x, p, h_mode) <= rp}
     return report, len(from_ball), filtered == from_ball

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .basegroups import GroupSpec
 from .wreath import LampConfig, WreathElement
@@ -153,26 +152,6 @@ def dist_from_base(x: WreathElement, side: TreeSide) -> int:
         return abs(n) if (n <= m or m >= 0) else n - 2 * m
     m = x.lamps[-1][0]
     return abs(n) if (n >= m or m <= 0) else 2 * m - n
-
-
-def neighbors(v: TreeVertex, values: Sequence[int]) -> Iterable[TreeVertex]:
-    """Adjacent vertices in the tree truncated to the given non-identity lamp
-    values: the unique spine-ward vertex plus one branch per optional value
-    at the level position.  Tail surgery is O(1) because the entry being
-    added or dropped always sits at the tail's end nearest the level."""
-    spec, side, n, tail = v.spec, v.side, v.level, v.tail
-    if side is TreeSide.PLUS:
-        down = tail[:-1] if tail and tail[-1][0] == n - 1 else tail
-        yield TreeVertex(spec, side, n - 1, down)
-        yield TreeVertex(spec, side, n + 1, tail)
-        for value in values:
-            yield TreeVertex(spec, side, n + 1, tail + ((n, value),))
-    else:
-        down = tail[1:] if tail and tail[0][0] == n + 1 else tail
-        yield TreeVertex(spec, side, n + 1, down)
-        yield TreeVertex(spec, side, n - 1, tail)
-        for value in values:
-            yield TreeVertex(spec, side, n - 1, ((n, value),) + tail)
 
 
 def format_vertex(v: TreeVertex) -> str:

@@ -1,14 +1,16 @@
-"""Sparse vectors over tagged coordinate keys with per-class inner products.
+"""Sparse vectors over tagged coordinate keys with the standard inner product.
 
-Coordinates come in three classes: geometric (unoriented) tree edges,
-oriented tree edges, and (lamp index, base coordinate) pairs.  Oriented
-edges carry the half-sum convention <x|y> = 1/2 * sum x(e) y(e), so that a
-unit charge on an edge and its reverse has norm 1; the other classes use the
-standard sum.  The convention is resolved per key class inside the inner
-product, so one vector type covers the whole direct sum.
+Coordinates come in three classes: geometric tree edges (the weighted path
+embedding), signed tree edges (the cocycle embedding) and (lamp index, base
+coordinate) pairs.  A signed edge is one coordinate per geometric edge whose
+value is the charge carried from its lower to its upper endpoint; reversing
+the orientation negates the charge, so it is printed as two oriented halves
+but counted once, and a unit charge has norm 1.  The classes are orthogonal,
+so one vector type covers the whole direct sum.
 
-Values may be exact Fractions (cocycle identities are checked exactly) or
-floats (the weighted path and simplex embeddings have irrational weights).
+Values may be exact ints or Fractions (cocycle identities are checked
+exactly) or floats (the weighted path and simplex embeddings have irrational
+weights).
 """
 
 from __future__ import annotations
@@ -41,20 +43,10 @@ def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
 
 
 @dataclass(frozen=True)
-class OrientedEdge:
-    """Oriented tree edge from src to dst."""
-
-    src: TreeVertex
-    dst: TreeVertex
-
-    def __post_init__(self):
-        if self.src.side is not self.dst.side or self.src.spec != self.dst.spec:
-            raise ValueError("edge endpoints must lie in the same tree")
-        if abs(self.src.level - self.dst.level) != 1:
-            raise ValueError("edge endpoints must be on adjacent levels")
-
-    def reversed(self) -> "OrientedEdge":
-        return OrientedEdge(self.dst, self.src)
+class SignedEdge(GeomEdge):
+    """One coordinate per geometric edge for the cocycle embedding: the
+    value is the charge carried from lo to hi, so the reverse orientation
+    carries its negative."""
 
 
 @dataclass(frozen=True)
@@ -65,33 +57,33 @@ class LampCoord:
     coord: int
 
 
-CoordKey = Union[GeomEdge, OrientedEdge, LampCoord]
+CoordKey = Union[GeomEdge, LampCoord]
 
 Scalar = Union[int, Fraction, float]
 
 
-def coord_weight(key: CoordKey) -> Scalar:
-    return Fraction(1, 2) if isinstance(key, OrientedEdge) else 1
+def _oriented(src: TreeVertex, dst: TreeVertex) -> tuple[tuple, str]:
+    return (
+        (1, src.side.value, src.level, src.tail, dst.level, dst.tail),
+        f"oe {format_vertex(src)} -> {format_vertex(dst)}",
+    )
 
 
-def _vertex_sort_key(v: TreeVertex):
-    return (v.level, v.tail)
-
-
-def coord_sort_key(key: CoordKey):
+def _key_rows(key: CoordKey) -> list[tuple[tuple, str, int]]:
+    """(sort key, literal, sign) of each printed row of a coordinate.  A
+    signed edge prints as its two oriented halves: lo -> hi with the value
+    and hi -> lo with its negative."""
+    if isinstance(key, SignedEdge):
+        return [(*_oriented(key.lo, key.hi), 1), (*_oriented(key.hi, key.lo), -1)]
     if isinstance(key, GeomEdge):
-        return (0, key.lo.side.value, *_vertex_sort_key(key.lo), *_vertex_sort_key(key.hi))
-    if isinstance(key, OrientedEdge):
-        return (1, key.src.side.value, *_vertex_sort_key(key.src), *_vertex_sort_key(key.dst))
-    return (2, "", key.index, (), key.coord, ())
+        sort_key = (0, key.lo.side.value, key.lo.level, key.lo.tail, key.hi.level, key.hi.tail)
+        return [(sort_key, f"ge {format_vertex(key.lo)} -- {format_vertex(key.hi)}", 1)]
+    return [((2, key.index, key.coord), f"lamp {key.index} : {key.coord}", 1)]
 
 
 def format_key(key: CoordKey) -> str:
-    if isinstance(key, GeomEdge):
-        return f"ge {format_vertex(key.lo)} -- {format_vertex(key.hi)}"
-    if isinstance(key, OrientedEdge):
-        return f"oe {format_vertex(key.src)} -> {format_vertex(key.dst)}"
-    return f"lamp {key.index} : {key.coord}"
+    """Literal of a coordinate; a signed edge reads as its lo -> hi half."""
+    return _key_rows(key)[0][1]
 
 
 def format_value(value: Scalar) -> str:
@@ -171,16 +163,11 @@ class SparseVector:
     __rmul__ = __mul__
 
     def ip(self, other: "SparseVector") -> Scalar:
-        """Inner product; oriented-edge coordinates contribute with weight 1/2."""
+        """The standard inner product, summed over the smaller support."""
         a, b = self._entries, other._entries
         if len(b) < len(a):
             a, b = b, a
-        total: Scalar = 0
-        for key, value in a.items():
-            w = b.get(key)
-            if w is not None:
-                total += coord_weight(key) * value * w
-        return total
+        return sum(value * w for key, value in a.items() if (w := b.get(key)) is not None)
 
     def norm_squared(self) -> Scalar:
         return self.ip(self)
@@ -189,9 +176,17 @@ class SparseVector:
         return float(self.norm_squared()) ** 0.5
 
     def dump_lines(self) -> list[str]:
-        """One `key<TAB>value` line per coordinate, deterministically ordered."""
-        keys = sorted(self._entries, key=coord_sort_key)
-        return [f"{format_key(k)}\t{format_value(self._entries[k])}" for k in keys]
+        """`key<TAB>value` lines, deterministically ordered: one per
+        coordinate, two per signed edge (its oriented halves)."""
+        rows = sorted(
+            (
+                (sort_key, literal, value if sign > 0 else -value)
+                for key, value in self._entries.items()
+                for sort_key, literal, sign in _key_rows(key)
+            ),
+            key=lambda row: row[0],
+        )
+        return [f"{literal}\t{format_value(value)}" for _, literal, value in rows]
 
     def __repr__(self) -> str:
         return f"SparseVector({len(self._entries)} coords)"

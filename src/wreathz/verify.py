@@ -134,6 +134,17 @@ class VerifyConfig:
     samples: int = 100_000
     scale: int = 1000
 
+    def __post_init__(self):
+        for name, flag, least in (
+            ("triples", "--triples", 1),
+            ("random_tree_checks", "--tree-checks", 1),
+            ("samples", "--samples", 1),
+            ("scale", "--scale", 0),
+        ):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} ({flag}) must be >= {least}, got {value}")
+
 
 # --- suites ----------------------------------------------------------------
 
@@ -164,7 +175,7 @@ def check_wreath_axioms(cfg: VerifyConfig):
     rng = random.Random(cfg.seed)
     for spec in (cyclic(3), INTEGERS):
         e = WreathElement.identity(spec)
-        for _ in range(cfg.triples // 2):
+        for _ in range((cfg.triples + 1) // 2):
             x = random_element(spec, rng)
             y = random_element(spec, rng)
             z = random_element(spec, rng)

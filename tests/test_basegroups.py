@@ -1,20 +1,23 @@
 import pytest
 
-from wreathz import INTEGERS, GroupElement, ParseError, cyclic, parse_group
+from wreathz import INTEGERS, ParseError, WreathElement, cyclic, parse_group
 
 
 def test_mul_examples():
     z2, z3 = cyclic(2), cyclic(3)
-    assert (z2.element(1) * z2.element(1)).value == 0
-    assert (INTEGERS.element(3) * INTEGERS.element(-5)).value == -2
-    assert (z3.element(2) * z3.element(2)).value == 1
+    assert z2.mul(1, 1) == 0
+    assert INTEGERS.mul(3, -5) == -2
+    assert z3.mul(2, 2) == 1
 
 
 def test_mul_rejects_mismatched_specs():
+    def lamp(spec):
+        return WreathElement(spec, ((0, 1),), 0)
+
     with pytest.raises(ValueError, match="mismatched"):
-        cyclic(2).element(1) * cyclic(3).element(1)
+        lamp(cyclic(2)) * lamp(cyclic(3))
     with pytest.raises(ValueError, match="mismatched"):
-        INTEGERS.element(1) * cyclic(2).element(1)
+        lamp(INTEGERS) * lamp(cyclic(2))
 
 
 def test_word_length_examples():
@@ -60,7 +63,8 @@ def test_cyclic_normalization():
     z5 = cyclic(5)
     assert z5.normalize(7) == 2
     assert z5.normalize(-1) == 4
-    assert GroupElement(z5, -1).value == 4
+    assert z5.mul(3, 3) == 1 and z5.inv(1) == 4
+    assert INTEGERS.normalize(-7) == -7
 
 
 def test_generator_values():

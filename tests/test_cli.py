@@ -1,5 +1,8 @@
-from wreathz import cyclic, parse_element
+import pytest
+
+from wreathz import H_DIRAC_SIMPLEX, TreeMode, cyclic, parse_element, sample_pairs, verify
 from wreathz.cli import main
+from wreathz.compression import lower_envelope
 
 
 def run(capsys, *argv):
@@ -132,6 +135,12 @@ def test_compress_fit_and_samples(capsys):
 
     code, out4, _ = run(capsys, *args, "--emit", "envelope")
     assert out4.splitlines()[0] == "bucket,minDist"
+    samples = sample_pairs(cyclic(2), TreeMode.cocycle(), H_DIRAC_SIMPLEX, 60, 400, 5)
+    points = lower_envelope(samples)
+    assert out4.splitlines()[1:] == [f"{wl},{d:.12f}" for wl, d in points]
+    # the envelope stays per length whatever --buckets says
+    code, out5, _ = run(capsys, *args, "--emit", "envelope", "--buckets", "4")
+    assert (code, out5) == (0, out4)
 
 
 def test_bounds_command(capsys):
@@ -150,6 +159,37 @@ def test_verify_single_suite(capsys):
     assert "passed 1/1 suites" in out
     code, _, err = run(capsys, "verify", "--suite", "no-such-suite")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--triples", "-5"),
+        ("--triples", "0"),
+        ("--tree-checks", "0"),
+        ("--tree-checks", "-3"),
+        ("--samples", "0"),
+        ("--scale", "-1"),
+    ],
+)
+def test_verify_rejects_bad_counts_before_any_suite(capsys, flag, value):
+    code, out, err = run(capsys, "verify", flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"({flag}) must be >= " in err
+
+
+def test_verify_wreath_axioms_runs_at_least_one_round(capsys, monkeypatch):
+    drawn = []
+
+    def counting(spec, rng, *args, **kwargs):
+        drawn.append(spec)
+        return random_element(spec, rng, *args, **kwargs)
+
+    random_element = verify.random_element
+    monkeypatch.setattr(verify, "random_element", counting)
+    code, out, _ = run(capsys, "verify", "--suite", "wreath-axioms", "--triples", "1")
+    assert code == 0 and out.startswith("PASS wreath-axioms")
+    assert len(drawn) == 6  # one round: a triple on each of Z/3 and Z
 
 
 def test_printed_literals_reparse(capsys):

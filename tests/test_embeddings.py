@@ -21,13 +21,18 @@ from wreathz import (
     dist,
     embedded_distance,
     gamma_action_on_sum,
-    h_embed,
     iota,
     sigma,
     vertex_of,
     weighted_tree_embed,
 )
-from wreathz.embeddings import identity_distance_squared, injectivity_gap, lipschitz_constants
+from wreathz.embeddings import (
+    identity_distance_squared,
+    injectivity_gap,
+    lamp_component,
+    lipschitz_constants,
+    validate_h_mode,
+)
 from wreathz.verify import random_element
 
 Z2 = cyclic(2)
@@ -174,15 +179,18 @@ def test_alpha_compose_requires_matching_base():
 
 
 def test_identity_line_examples():
-    assert h_embed(INTEGERS.element(0), H_IDENTITY_LINE) == SparseVector()
-    d = h_embed(INTEGERS.element(3), H_IDENTITY_LINE) - h_embed(
-        INTEGERS.element(-2), H_IDENTITY_LINE
-    )
-    assert d.norm() == pytest.approx(5.0, abs=1e-12)
+    # a lamp value n embeds at n on the line, so distances are |a - b|
+    assert lamp_component(INTEGERS, 0, 0, H_IDENTITY_LINE) == SparseVector()
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            d = lamp_component(INTEGERS, 0, a, H_IDENTITY_LINE) - lamp_component(
+                INTEGERS, 0, b, H_IDENTITY_LINE
+            )
+            assert d.norm_squared() == (a - b) ** 2
 
 
 def test_dirac_simplex_example():
-    d = h_embed(Z2.element(0), H_DIRAC_SIMPLEX) - h_embed(Z2.element(1), H_DIRAC_SIMPLEX)
+    d = lamp_component(Z2, 0, 0, H_DIRAC_SIMPLEX) - lamp_component(Z2, 0, 1, H_DIRAC_SIMPLEX)
     assert d.norm() == pytest.approx(1.0, abs=1e-12)  # diam = 1
 
 
@@ -190,17 +198,21 @@ def test_simplex_distances_are_diameter_times_indicator():
     z7 = cyclic(7)
     for s in range(7):
         for t in range(7):
-            d = (h_embed(z7.element(s), H_DIRAC_SIMPLEX) - h_embed(z7.element(t), H_DIRAC_SIMPLEX)).norm()
+            d = (
+                lamp_component(z7, 0, s, H_DIRAC_SIMPLEX) - lamp_component(z7, 0, t, H_DIRAC_SIMPLEX)
+            ).norm()
             assert d == pytest.approx(0.0 if s == t else 3.0, abs=1e-12)
 
 
 def test_h_embed_mode_mismatch():
     with pytest.raises(ValueError, match="integer lamps"):
-        h_embed(Z2.element(1), H_IDENTITY_LINE)
+        validate_h_mode(Z2, H_IDENTITY_LINE)
     with pytest.raises(ValueError, match="finite cyclic"):
-        h_embed(INTEGERS.element(1), H_DIRAC_SIMPLEX)
+        validate_h_mode(INTEGERS, H_DIRAC_SIMPLEX)
     with pytest.raises(ValueError, match="unknown lamp"):
-        h_embed(Z2.element(1), "fourier")
+        validate_h_mode(Z2, "fourier")
+    with pytest.raises(ValueError, match="integer lamps"):
+        sigma(el(Z2, {0: 1}, 0), COCYCLE, H_IDENTITY_LINE)
 
 
 # --- assembled embedding ---------------------------------------------------------

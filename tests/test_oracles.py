@@ -21,13 +21,11 @@ from wreathz import (
     vertex_of,
 )
 from wreathz.oracles import (
-    _raw_tree_neighbors,
     factor_cost,
     generators,
     product_distance_pth,
     properness_search_radius,
 )
-from wreathz.trees import neighbors
 from wreathz.verify import Z2_BALL_SIZES, random_element
 
 Z2 = cyclic(2)
@@ -130,17 +128,6 @@ def test_tree_bfs_matches_dist_random():
             u = vertex_of(random_element(spec, rng), side)
             v = vertex_of(random_element(spec, rng), side)
             assert tree_bfs_dist(u, v, vrad) == dist(u, v)
-
-
-def test_raw_neighbors_match_public_adjacency():
-    rng = random.Random(32)
-    values = tuple(v for v in cyclic(3).ball(1) if v)
-    for _ in range(100):
-        side = rng.choice(list(TreeSide))
-        v = vertex_of(random_element(cyclic(3), rng), side)
-        raw = _raw_tree_neighbors((v.level, v.tail), values, side is TreeSide.PLUS)
-        public = [(nb.level, nb.tail) for nb in neighbors(v, values)]
-        assert sorted(raw) == sorted(public)
 
 
 def test_factor_cost():

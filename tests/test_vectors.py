@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wreathz import SparseVector, TreeSide, TreeVertex, cyclic, geom_edge
-from wreathz.vectors import GeomEdge, LampCoord, OrientedEdge, format_key
+from wreathz.vectors import GeomEdge, LampCoord, SignedEdge, format_key
 
 Z2 = cyclic(2)
 
@@ -13,14 +13,17 @@ def vx(level, lamps=(), side=TreeSide.PLUS):
 
 
 def test_unit_charge_on_both_orientations_has_norm_one():
+    # one signed coordinate carries the charge in both orientations
     a, b = vx(0), vx(1)
-    v = SparseVector([(OrientedEdge(a, b), 1), (OrientedEdge(b, a), -1)])
-    assert v.norm_squared() == 1
+    v = SparseVector.single(SignedEdge(a, b), 1)
+    assert v.norm_squared() == 1 and type(v.norm_squared()) is int
+    assert v.dump_lines() == ["oe T+ [0 | ] -> T+ [1 | ]\t1", "oe T+ [1 | ] -> T+ [0 | ]\t-1"]
+    assert (-v).dump_lines() == ["oe T+ [0 | ] -> T+ [1 | ]\t-1", "oe T+ [1 | ] -> T+ [0 | ]\t1"]
 
 
 def test_inner_product_with_zero():
     a, b = vx(0), vx(1)
-    v = SparseVector([(OrientedEdge(a, b), Fraction(3, 2))])
+    v = SparseVector([(SignedEdge(a, b), Fraction(3, 2))])
     assert SparseVector().ip(v) == 0
     assert v.ip(SparseVector()) == 0
 
@@ -29,20 +32,26 @@ def test_geometric_edge_uses_standard_convention():
     e = geom_edge(vx(1), vx(0))
     assert SparseVector.single(e, 1).norm_squared() == 1
     assert e == geom_edge(vx(0), vx(1))  # canonical order
+    # same endpoints, different coordinate class: orthogonal
+    signed = SignedEdge(vx(0), vx(1))
+    assert e != signed
+    assert SparseVector.single(e, 1).ip(SparseVector.single(signed, 1)) == 0
 
 
 def test_edge_constructors_validate_adjacency():
     with pytest.raises(ValueError, match="adjacent"):
-        OrientedEdge(vx(0), vx(2))
+        SignedEdge(vx(0), vx(2))
+    with pytest.raises(ValueError, match="adjacent"):
+        SignedEdge(vx(1), vx(0))  # endpoints must be ordered by level
     with pytest.raises(ValueError, match="adjacent"):
         GeomEdge(vx(0), vx(0))
     with pytest.raises(ValueError, match="same tree"):
-        OrientedEdge(vx(0), vx(1, side=TreeSide.MINUS))
+        SignedEdge(vx(0), vx(1, side=TreeSide.MINUS))
 
 
 def test_vector_arithmetic_prunes_zeros():
     a, b = vx(0), vx(1)
-    e = OrientedEdge(a, b)
+    e = SignedEdge(a, b)
     v = SparseVector([(e, 2)])
     w = SparseVector([(e, -2), (LampCoord(0, 1), Fraction(1, 3))])
     total = v + w
@@ -56,9 +65,9 @@ def test_vector_arithmetic_prunes_zeros():
 
 def test_mixed_class_inner_product():
     a, b = vx(0), vx(1)
-    v = SparseVector([(OrientedEdge(a, b), 2), (LampCoord(1, 0), 3)])
-    # 1/2 * 2 * 2 + 3 * 3
-    assert v.norm_squared() == Fraction(2) + 9
+    v = SparseVector([(SignedEdge(a, b), 2), (LampCoord(1, 0), 3)])
+    # 2 * 2 + 3 * 3
+    assert v.norm_squared() == 13
     assert v.ip(SparseVector.single(LampCoord(1, 0), 1)) == 3
 
 
@@ -66,7 +75,7 @@ def test_dump_is_deterministic_and_ordered():
     a, b = vx(0), vx(1)
     items = [
         (LampCoord(2, 1), 0.5),
-        (OrientedEdge(a, b), 1),
+        (SignedEdge(a, b), 1),
         (geom_edge(a, b), Fraction(7, 2)),
         (LampCoord(-1, 0), 2),
     ]
@@ -74,13 +83,13 @@ def test_dump_is_deterministic_and_ordered():
     w = SparseVector(items[::-1])
     lines = v.dump_lines()
     assert lines == w.dump_lines()
-    assert lines[0].startswith("ge ") and lines[1].startswith("oe ")
-    assert lines[2] == "lamp -1 : 0\t2"
-    assert lines[3] == "lamp 2 : 1\t0.500000000000"
+    assert lines[0].startswith("ge ") and lines[1].startswith("oe ") and lines[2].startswith("oe ")
+    assert lines[3] == "lamp -1 : 0\t2"
+    assert lines[4] == "lamp 2 : 1\t0.500000000000"
     assert "7/2" in lines[0]
 
 
 def test_format_key_uses_vertex_literals():
     a, b = vx(0), vx(1)
-    assert format_key(OrientedEdge(a, b)) == "oe T+ [0 | ] -> T+ [1 | ]"
+    assert format_key(SignedEdge(a, b)) == "oe T+ [0 | ] -> T+ [1 | ]"
     assert format_key(geom_edge(b, a)) == "ge T+ [0 | ] -- T+ [1 | ]"
