@@ -9,6 +9,11 @@ operations on those raw values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
+
+# Cyclic orders up to this size measure lamp costs through a lookup table.
+LENGTH_TABLE_MAX_ORDER = 1 << 16
 
 
 class ParseError(ValueError):
@@ -55,6 +60,22 @@ class GroupSpec:
             return abs(a)
         a %= self.order
         return min(a, self.order - a)
+
+    @cached_property
+    def _length_table(self) -> tuple[int, ...]:
+        """Word length indexed by canonical value, for small cyclic orders."""
+        k = self.order
+        return tuple(min(v, k - v) for v in range(k))
+
+    def lamp_cost(self, lamps) -> int:
+        """Total word length of the values of a canonical lamp configuration
+        ((position, value) pairs with normalized values)."""
+        values = map(itemgetter(1), lamps)
+        if self.order is None:
+            return sum(map(abs, values))
+        if self.order <= LENGTH_TABLE_MAX_ORDER:
+            return sum(map(self._length_table.__getitem__, values))
+        return sum(map(self.word_length, values))
 
     def generator_values(self) -> tuple[int, ...]:
         """Non-identity values of the generating set {a, a^-1}."""

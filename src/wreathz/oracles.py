@@ -5,13 +5,14 @@ word lengths come from layer-by-layer expansion over the standard
 generators, tree distances from bidirectional search using only adjacency,
 and properness counts from filtering a finite candidate family by the exact
 product metric.  All searches carry an element budget (default 10^7,
-overridable via the WREATHZ_ELEMENT_BUDGET environment variable) and fail
-loudly when it is exceeded.
+overridable via the WREATHZ_ELEMENT_BUDGET environment variable).  It is a
+hard cap: a search fails loudly instead of storing one element more.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,34 +53,42 @@ def cayley_bfs(
     spec: GroupSpec, radius_cap: int, budget: int | None = None
 ) -> dict[WreathElement, int]:
     """Exact word length of every element in the ball of the given radius,
-    by breadth-first expansion over the standard generators."""
+    by breadth-first expansion over the standard generators.  The budget
+    caps the number of stored elements: storing one more raises."""
     if radius_cap < 0:
         raise ValueError(f"radius must be >= 0, got {radius_cap}")
     budget = element_budget(budget)
     lamp_values = spec.generator_values()
+    mul = spec.mul
+    fanout = 2 + len(lamp_values)
     start = ((), 0)
     found: dict[tuple, int] = {start: 0}
     frontier = [start]
     for layer in range(1, radius_cap + 1):
         grown = []
+        # Only a layer that could outgrow the budget counts before storing.
+        near_cap = len(found) + len(frontier) * fanout > budget
         for lamps, n in frontier:
+            # A lamp generator only changes the lamp under the cursor n: split
+            # the configuration there once and splice each new value back in.
+            i = bisect_left(lamps, (n,))
+            head = lamps[:i]
+            if i < len(lamps) and lamps[i][0] == n:
+                cur, rest = lamps[i][1], lamps[i + 1 :]
+            else:
+                cur, rest = 0, lamps[i:]
             nxt = [(lamps, n + 1), (lamps, n - 1)]
             for g in lamp_values:
-                acc = dict(lamps)
-                v = spec.mul(acc.get(n, 0), g)
-                if v:
-                    acc[n] = v
-                else:
-                    del acc[n]
-                nxt.append((tuple(sorted(acc.items())), n))
+                v = mul(cur, g)
+                nxt.append((head + ((n, v),) + rest if v else head + rest, n))
+            if near_cap and len(found) + sum(el not in found for el in nxt) > budget:
+                raise BudgetError(
+                    f"Cayley ball outgrew the element budget ({budget + 1} > {budget}) at radius {layer}"
+                )
             for el in nxt:
                 if el not in found:
                     found[el] = layer
                     grown.append(el)
-        if len(found) > budget:
-            raise BudgetError(
-                f"Cayley ball outgrew the element budget ({len(found)} > {budget}) at radius {layer}"
-            )
         frontier = grown
     return {WreathElement(spec, lamps, n): d for (lamps, n), d in found.items()}
 
@@ -145,6 +154,8 @@ def tree_bfs_dist(
     """
     if u.side is not v.side or u.spec != v.spec:
         raise ValueError("tree BFS needs two vertices of the same tree")
+    if value_radius < 0:
+        raise ValueError(f"value_radius must be >= 0, got {value_radius}")
     spec = u.spec
     values = tuple(w for w in spec.ball(value_radius) if w)
     allowed = set(values)
@@ -155,6 +166,7 @@ def tree_bfs_dist(
         return 0
     budget = element_budget(budget)
     plus_side = u.side is TreeSide.PLUS
+    fanout = 2 + len(values)
     side_a: dict[tuple, int] = {(u.level, u.tail): 0}
     side_b: dict[tuple, int] = {(v.level, v.tail): 0}
     frontier_a, frontier_b = list(side_a), list(side_b)
@@ -170,8 +182,15 @@ def tree_bfs_dist(
             depth = depth_b
         grown = []
         best = None
+        # The budget caps both sides together (the other side is fixed here);
+        # only a layer that could outgrow it counts before storing.
+        cap = budget - len(other)
+        near_cap = len(seen) + len(frontier) * fanout > cap
         for vert in frontier:
-            for nb in _raw_tree_neighbors(vert, values, plus_side):
+            nbs = _raw_tree_neighbors(vert, values, plus_side)
+            if near_cap and len(seen) + sum(nb not in seen for nb in nbs) > cap:
+                raise BudgetError(f"tree search outgrew the element budget ({budget + 1} > {budget})")
+            for nb in nbs:
                 if nb not in seen:
                     seen[nb] = depth
                     grown.append(nb)
@@ -181,10 +200,6 @@ def tree_bfs_dist(
                         best = total if best is None else min(best, total)
         if best is not None:
             return best
-        if len(side_a) + len(side_b) > budget:
-            raise BudgetError(
-                f"tree search outgrew the element budget ({len(side_a) + len(side_b)} > {budget})"
-            )
         if seen is side_a:
             frontier_a = grown
         else:

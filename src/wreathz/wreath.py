@@ -62,12 +62,12 @@ class SupportStats:
     lamp_cost: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WreathElement:
     """An element (lamps, shift) of H wr Z in canonical form.
 
     Construct through `of` (which canonicalizes) unless the inputs are
-    already canonical.
+    already canonical.  Slotted: Cayley balls hold ~10^5 of these.
     """
 
     spec: GroupSpec
@@ -114,10 +114,10 @@ class WreathElement:
         return WreathElement(spec, inv, -n)
 
     def support_stats(self) -> SupportStats:
-        if not self.lamps:
+        lamps = self.lamps
+        if not lamps:
             return SupportStats(None, None, 0)
-        cost = sum(self.spec.word_length(v) for _, v in self.lamps)
-        return SupportStats(self.lamps[0][0], self.lamps[-1][0], cost)
+        return SupportStats(lamps[0][0], lamps[-1][0], self.spec.lamp_cost(lamps))
 
     def travel_length(self) -> int:
         """Shortest walk on Z from 0 to the shift through both support extremes."""
@@ -127,10 +127,10 @@ class WreathElement:
 
     def word_length(self) -> int:
         """Word length for the generating set {a, a^-1, s, s^-1}."""
-        if not self.lamps:
+        lamps = self.lamps
+        if not lamps:
             return abs(self.shift)
-        cost = sum(self.spec.word_length(v) for _, v in self.lamps)
-        return self.travel_length() + cost
+        return travel_length(self.shift, lamps[0][0], lamps[-1][0]) + self.spec.lamp_cost(lamps)
 
     def __str__(self) -> str:
         return format_element(self)

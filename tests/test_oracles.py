@@ -31,6 +31,33 @@ from wreathz.verify import Z2_BALL_SIZES, random_element
 Z2 = cyclic(2)
 
 
+def reference_cayley_bfs(spec, radius_cap):
+    """The original expansion: rebuild each lamp-generator neighbour through
+    a dict of the whole configuration and a sort."""
+    lamp_values = spec.generator_values()
+    start = ((), 0)
+    found = {start: 0}
+    frontier = [start]
+    for layer in range(1, radius_cap + 1):
+        grown = []
+        for lamps, n in frontier:
+            nxt = [(lamps, n + 1), (lamps, n - 1)]
+            for g in lamp_values:
+                acc = dict(lamps)
+                v = spec.mul(acc.get(n, 0), g)
+                if v:
+                    acc[n] = v
+                else:
+                    del acc[n]
+                nxt.append((tuple(sorted(acc.items())), n))
+            for el in nxt:
+                if el not in found:
+                    found[el] = layer
+                    grown.append(el)
+        frontier = grown
+    return {WreathElement(spec, lamps, n): d for (lamps, n), d in found.items()}
+
+
 def el(spec, lamps, shift):
     return WreathElement.of(spec, lamps, shift)
 
@@ -61,6 +88,31 @@ def test_bfs_agrees_with_formula_radius_5():
     for spec, radius in ((Z2, 5), (cyclic(3), 4), (INTEGERS, 4)):
         for x, d in cayley_bfs(spec, radius).items():
             assert x.word_length() == d
+
+
+@pytest.mark.parametrize(
+    "spec, radius_cap",
+    [(Z2, 10), (cyclic(3), 8), (cyclic(5), 6), (INTEGERS, 6)],
+    ids=["Z/2", "Z/3", "Z/5", "Z"],
+)
+def test_bfs_equals_reference_expansion(spec, radius_cap):
+    for radius in range(radius_cap + 1):
+        got = cayley_bfs(spec, radius)
+        want = reference_cayley_bfs(spec, radius)
+        assert got == want
+        # same discovery order too, so ball_reports lists elements alike
+        assert list(got.items()) == list(want.items())
+
+
+def test_bfs_budget_is_a_hard_cap():
+    # the radius-40 ball is far larger than the budget
+    with pytest.raises(BudgetError, match=r"\(1001 > 1000\)"):
+        cayley_bfs(Z2, 40, budget=1000)
+    sizes = [len(cayley_bfs(Z2, r)) for r in range(7)]
+    # a budget equal to the ball size succeeds, one less fails on the spot
+    assert len(cayley_bfs(Z2, 6, budget=sizes[6])) == sizes[6]
+    with pytest.raises(BudgetError, match=rf"\({sizes[6]} > {sizes[6] - 1}\) at radius 6"):
+        cayley_bfs(Z2, 6, budget=sizes[6] - 1)
 
 
 def test_bfs_budget_guard():
@@ -116,8 +168,47 @@ def test_tree_bfs_validates_inputs():
 def test_tree_bfs_budget_guard():
     b = base_vertex(INTEGERS, TreeSide.PLUS)
     far = vertex_of(el(INTEGERS, {-3: 2, 2: -2}, 4), TreeSide.PLUS)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"\(11 > 10\)"):
         tree_bfs_dist(b, far, 2, budget=10)
+
+
+def test_tree_bfs_budget_is_a_hard_cap_on_the_final_layer():
+    # distance 2: one layer from each end, 3 + 3 new vertices on top of the
+    # two endpoints.  The meeting layer itself must fit in the budget.
+    b = base_vertex(Z2, TreeSide.PLUS)
+    target = vertex_of(el(Z2, {-1: 1}, 0), TreeSide.PLUS)
+    assert tree_bfs_dist(b, target, 1, budget=8) == 2
+    with pytest.raises(BudgetError, match=r"\(8 > 7\)"):
+        tree_bfs_dist(b, target, 1, budget=7)
+    # the two endpoints are stored too
+    with pytest.raises(BudgetError, match=r"\(2 > 1\)"):
+        tree_bfs_dist(b, target, 1, budget=1)
+
+
+def test_tree_bfs_budget_threshold_is_sharp():
+    # every budget below the search's stored count fails, reporting one more
+    # than the budget; every budget from that count on gives the distance
+    b = base_vertex(INTEGERS, TreeSide.MINUS)
+    target = vertex_of(el(INTEGERS, {-1: 1, 2: -2}, -2), TreeSide.MINUS)
+    outcomes = []
+    for budget in range(1, 400):
+        try:
+            outcomes.append(tree_bfs_dist(b, target, 2, budget=budget))
+        except BudgetError as err:
+            assert f"({budget + 1} > {budget})" in str(err)
+            outcomes.append(None)
+    need = outcomes.index(dist(b, target)) + 1
+    assert 2 < need < 400
+    assert outcomes[: need - 1] == [None] * (need - 1)
+    assert set(outcomes[need - 1 :]) == {dist(b, target)}
+
+
+def test_tree_bfs_rejects_negative_value_radius():
+    b = base_vertex(Z2, TreeSide.PLUS)
+    with pytest.raises(ValueError, match="value_radius must be >= 0"):
+        tree_bfs_dist(b, b, -1)
+    with pytest.raises(ValueError, match="value_radius"):
+        tree_bfs_dist(b, vertex_of(el(Z2, {}, 2), TreeSide.PLUS), -1)
 
 
 def test_tree_bfs_matches_dist_random():

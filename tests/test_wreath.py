@@ -1,6 +1,10 @@
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathz import (
     INTEGERS,
@@ -12,9 +16,24 @@ from wreathz import (
     shift_lamps,
     travel_length,
 )
+from wreathz.basegroups import LENGTH_TABLE_MAX_ORDER
 from wreathz.verify import random_element
 
 Z2 = cyclic(2)
+# Z with values far beyond any machine word, small cyclic orders (cost table),
+# and one cyclic order above the table cut-off (per-value fallback).
+PROPERTY_SPECS = (INTEGERS, Z2, cyclic(3), cyclic(7), cyclic(LENGTH_TABLE_MAX_ORDER + 3))
+
+
+@st.composite
+def canonical_elements(draw):
+    spec = draw(st.sampled_from(PROPERTY_SPECS))
+    if spec.is_finite:
+        values = st.integers(0, spec.order - 1)
+    else:
+        values = st.one_of(st.integers(-5, 5), st.integers(-(10**30), 10**30))
+    lamps = draw(st.dictionaries(st.integers(-40, 40), values, max_size=10))
+    return WreathElement.of(spec, lamps, draw(st.integers(-50, 50)))
 
 
 def el(spec, lamps, shift):
@@ -64,6 +83,33 @@ def test_word_length_examples():
     assert el(Z2, {1: 1}, 0).word_length() == 3
     assert el(Z2, {-1: 1, 1: 1}, 0).word_length() == 6
     assert el(Z2, {}, -4).word_length() == 4
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(canonical_elements())
+def test_lamp_cost_and_word_length_match_per_value_sum(x):
+    spec, lamps = x.spec, x.lamps
+    per_value = sum(spec.word_length(v) for _, v in lamps)
+    assert spec.lamp_cost(lamps) == per_value
+    assert x.support_stats().lamp_cost == per_value
+    if lamps:
+        assert x.word_length() == travel_length(x.shift, lamps[0][0], lamps[-1][0]) + per_value
+    else:
+        assert x.word_length() == abs(x.shift)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(canonical_elements())
+def test_slotted_element_is_frozen_and_structural(x):
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        x.shift = x.shift + 1
+    with pytest.raises(FrozenInstanceError):
+        x.lamps = ()
+    twin = WreathElement(x.spec, tuple(list(x.lamps)), int(str(x.shift)))
+    assert twin == x and hash(twin) == hash(x) and len({twin, x}) == 1
+    assert WreathElement(x.spec, x.lamps, x.shift + 1) != x
+    assert pickle.loads(pickle.dumps(x)) == x
 
 
 def test_shift_action_examples():
