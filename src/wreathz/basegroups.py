@@ -15,6 +15,8 @@ from operator import itemgetter
 # Cyclic orders up to this size measure lamp costs through a lookup table.
 LENGTH_TABLE_MAX_ORDER = 1 << 16
 
+_value = itemgetter(1)
+
 
 class ParseError(ValueError):
     """Malformed literal.  Carries source text and offset for caret messages."""
@@ -69,13 +71,16 @@ class GroupSpec:
 
     def lamp_cost(self, lamps) -> int:
         """Total word length of the values of a canonical lamp configuration
-        ((position, value) pairs with normalized values)."""
-        values = map(itemgetter(1), lamps)
-        if self.order is None:
-            return sum(map(abs, values))
-        if self.order <= LENGTH_TABLE_MAX_ORDER:
-            return sum(map(self._length_table.__getitem__, values))
-        return sum(map(self.word_length, values))
+        ((position, value) pairs with normalized, non-identity values)."""
+        order = self.order
+        if order is None:
+            return sum(map(abs, map(_value, lamps)))
+        if order < 4:
+            # Diameter 1 (Z/2, Z/3): every non-identity value has length 1.
+            return len(lamps)
+        if order <= LENGTH_TABLE_MAX_ORDER:
+            return sum(map(self._length_table.__getitem__, map(_value, lamps)))
+        return sum(map(self.word_length, map(_value, lamps)))
 
     def generator_values(self) -> tuple[int, ...]:
         """Non-identity values of the generating set {a, a^-1}."""

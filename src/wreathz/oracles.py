@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import itemgetter
 
 from .basegroups import GroupSpec
 from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, validate_h_mode
@@ -23,6 +26,8 @@ from .wreath import WreathElement
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "WREATHZ_ELEMENT_BUDGET"
+
+_value = itemgetter(1)
 
 
 class BudgetError(RuntimeError):
@@ -59,7 +64,7 @@ def cayley_bfs(
         raise ValueError(f"radius must be >= 0, got {radius_cap}")
     budget = element_budget(budget)
     lamp_values = spec.generator_values()
-    mul = spec.mul
+    order = spec.order
     fanout = 2 + len(lamp_values)
     start = ((), 0)
     found: dict[tuple, int] = {start: 0}
@@ -79,7 +84,7 @@ def cayley_bfs(
                 cur, rest = 0, lamps[i:]
             nxt = [(lamps, n + 1), (lamps, n - 1)]
             for g in lamp_values:
-                v = mul(cur, g)
+                v = (cur + g) % order if order else cur + g
                 nxt.append((head + ((n, v),) + rest if v else head + rest, n))
             if near_cap and len(found) + sum(el not in found for el in nxt) > budget:
                 raise BudgetError(
@@ -91,6 +96,13 @@ def cayley_bfs(
                     grown.append(el)
         frontier = grown
     return {WreathElement(spec, lamps, n): d for (lamps, n), d in found.items()}
+
+
+def _ball_sizes(lengths: dict[WreathElement, int], radius: int) -> list[int]:
+    """Cumulative ball sizes for radii 0..radius from a `cayley_bfs` result,
+    counting each layer once."""
+    layers = Counter(lengths.values())
+    return list(accumulate(layers[r] for r in range(radius + 1)))
 
 
 @dataclass(frozen=True)
@@ -112,12 +124,13 @@ def ball_reports(
     """Ball sizes for radii 0..radius_cap; element lists kept for the small radii."""
     lengths = cayley_bfs(spec, radius_cap, budget)
     desc = "lamp generators {%s} + shift" % ", ".join(map(str, spec.generator_values()))
-    out = []
-    for r in range(radius_cap + 1):
-        members = [el for el, d in lengths.items() if d <= r]
-        keep = tuple(members) if r <= keep_elements_up_to else None
-        out.append(BallReport(r, len(members), desc, keep))
-    return out
+    # The BFS stores elements layer by layer, so the radius-r ball is the
+    # insertion-order prefix of its size.
+    members = list(lengths)
+    return [
+        BallReport(r, size, desc, tuple(members[:size]) if r <= keep_elements_up_to else None)
+        for r, size in enumerate(_ball_sizes(lengths, radius_cap))
+    ]
 
 
 def _raw_tree_neighbors(vert: tuple, values, plus_side: bool) -> list[tuple]:
@@ -215,15 +228,22 @@ def factor_cost(spec: GroupSpec, value: int, h_mode: str) -> int:
     return spec.diameter if value else 0
 
 
+def _factor_costs_pth(spec: GroupSpec, values, p: int, h_mode: str) -> dict[int, int]:
+    """factor_cost(value)^p for each of the values: the per-call table the
+    properness filters read lamp costs from."""
+    return {v: factor_cost(spec, v, h_mode) ** p for v in values}
+
+
+def _distance_pth(x: WreathElement, p: int, costs: dict[int, int]) -> int:
+    """product_distance_pth with lamp costs from a `_factor_costs_pth` table."""
+    total = dist_from_base(x, TreeSide.PLUS) ** p + dist_from_base(x, TreeSide.MINUS) ** p
+    return total + sum(map(costs.__getitem__, map(_value, x.lamps)))
+
+
 def product_distance_pth(x: WreathElement, p: int, h_mode: str) -> int:
     """d(z, x.z)^p in the product of the two trees (graph metric) and the
     lamp factors, for the orbit of the canonical base point z."""
-    dp = dist_from_base(x, TreeSide.PLUS)
-    dm = dist_from_base(x, TreeSide.MINUS)
-    total = dp**p + dm**p
-    for _, value in x.lamps:
-        total += factor_cost(x.spec, value, h_mode) ** p
-    return total
+    return _distance_pth(x, p, _factor_costs_pth(x.spec, map(_value, x.lamps), p, h_mode))
 
 
 @dataclass(frozen=True)
@@ -307,17 +327,14 @@ def _value_ball(spec: GroupSpec, radius: Fraction, h_mode: str) -> tuple[int, ..
     return tuple(v for v in values if v and factor_cost(spec, v, h_mode) <= radius)
 
 
-def _superset_members(
-    spec: GroupSpec, radius: Fraction, p: int, h_mode: str, budget: int
-):
+def _superset_members(spec: GroupSpec, radius: Fraction, limit: int, costs: dict[int, int], budget: int):
     """Enumerate the candidate family of the finiteness argument: shifts and
-    support within [-R, R], values in the factor ball.  Configurations whose
-    lamp cost already exceeds the metric bound are pruned early; pruning
-    only discards candidates the distance filter would reject anyway."""
+    support within [-R, R], values in the factor ball (the keys of `costs`,
+    which maps each to its factor cost^p).  Configurations whose lamp cost
+    already exceeds `limit`, the integer metric bound, are pruned early;
+    pruning only discards candidates the distance filter would reject anyway."""
     r = int(radius)
-    rp = Fraction(radius) ** p
     positions = list(range(-r, r + 1))
-    ball = _value_ball(spec, radius, h_mode)
     shifts = list(range(-r, r + 1))
     examined = 0
 
@@ -331,9 +348,9 @@ def _superset_members(
                 yield WreathElement(spec, tuple(lamps), n)
             return
         yield from rec(idx + 1, lamps, cost)
-        for v in ball:
-            c = cost + factor_cost(spec, v, h_mode) ** p
-            if c <= rp:
+        for v, cost_v in costs.items():
+            c = cost + cost_v
+            if c <= limit:
                 lamps.append((positions[idx], v))
                 yield from rec(idx + 1, lamps, c)
                 lamps.pop()
@@ -342,8 +359,9 @@ def _superset_members(
 
 
 def _members_within(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None):
-    """Validate the inputs and return (radius, p, members): the elements of
-    the candidate family with d(z, gamma z) <= radius, yielded lazily."""
+    """Validate the inputs and return (radius, p, limit, members): the integer
+    bound on d(z, gamma z)^p and the elements of the candidate family within
+    it, yielded lazily."""
     if p < 1 or int(p) != p:
         raise ValueError(f"the exponent must be an integer >= 1, got {p}")
     p = int(p)
@@ -351,10 +369,13 @@ def _members_within(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | 
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    rp = radius**p
-    candidates = _superset_members(spec, radius, p, h_mode, element_budget(budget))
-    members = (item for item in candidates if product_distance_pth(item, p, h_mode) <= rp)
-    return radius, p, members
+    # An integer D is at most R^p = a^p / b^p exactly when b^p * D <= a^p,
+    # that is when D <= a^p // b^p.
+    limit = radius.numerator**p // radius.denominator**p
+    costs = _factor_costs_pth(spec, _value_ball(spec, radius, h_mode), p, h_mode)
+    candidates = _superset_members(spec, radius, limit, costs, element_budget(budget))
+    members = (item for item in candidates if _distance_pth(item, p, costs) <= limit)
+    return radius, p, limit, members
 
 
 def _properness_report(spec: GroupSpec, radius: Fraction, p: int, h_mode: str, count: int) -> PropernessReport:
@@ -383,7 +404,7 @@ def properness_check(
     Exactness needs an integer exponent; the two trees always carry the
     graph metric.
     """
-    radius, p, members = _members_within(spec, radius, p, h_mode, budget)
+    radius, p, _, members = _members_within(spec, radius, p, h_mode, budget)
     return _properness_report(spec, radius, p, h_mode, sum(1 for _ in members))
 
 
@@ -393,11 +414,11 @@ def properness_cross_check(
     """Two-sided count: the candidate-family filter against an exhaustive
     scan of the Cayley ball whose radius provably covers every solution.
     Returns (report, ball-scan count, sets agree)."""
-    radius, p, members = _members_within(spec, radius, p, h_mode, budget)
+    radius, p, limit, members = _members_within(spec, radius, p, h_mode, budget)
     filtered = set(members)
     report = _properness_report(spec, radius, p, h_mode, len(filtered))
     scan_radius = properness_search_radius(spec, radius, p, h_mode)
     ball = cayley_bfs(spec, scan_radius, budget)
-    rp = radius**p
-    from_ball = {x for x in ball if product_distance_pth(x, p, h_mode) <= rp}
+    costs = _factor_costs_pth(spec, spec.ball(scan_radius), p, h_mode)
+    from_ball = {x for x in ball if _distance_pth(x, p, costs) <= limit}
     return report, len(from_ball), filtered == from_ball

@@ -32,7 +32,7 @@ from .embeddings import (
     sigma,
     weighted_tree_embed,
 )
-from .oracles import cayley_bfs, properness_check, properness_cross_check, tree_bfs_dist
+from .oracles import _ball_sizes, cayley_bfs, properness_check, properness_cross_check, tree_bfs_dist
 from .trees import (
     TreeSide,
     act,
@@ -196,7 +196,7 @@ def check_word_length_oracle(cfg: VerifyConfig):
         bad = [x for x, d in lengths.items() if x.word_length() != d]
         if bad:
             return False, f"{spec}: formula != BFS at {format_element(bad[0])}"
-        sizes = [sum(1 for d in lengths.values() if d <= r) for r in range(radius + 1)]
+        sizes = _ball_sizes(lengths, radius)
         if sizes != frozen:
             return False, f"{spec}: ball sizes {sizes} != frozen {frozen}"
     return True, f"formula = BFS on {Z2_BALL_SIZES[-1]} + {Z3_BALL_SIZES[-1]} elements"

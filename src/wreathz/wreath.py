@@ -67,12 +67,23 @@ class WreathElement:
     """An element (lamps, shift) of H wr Z in canonical form.
 
     Construct through `of` (which canonicalizes) unless the inputs are
-    already canonical.  Slotted: Cayley balls hold ~10^5 of these.
+    already canonical.  Slotted: Cayley balls hold ~10^5 of these.  The hash
+    ignores `spec` (equality does not), so hashing calls no Python code.
     """
 
     spec: GroupSpec
     lamps: LampConfig
     shift: int
+
+    def __init__(self, spec: GroupSpec, lamps: LampConfig, shift: int):
+        # Store through the slot descriptors: the generated frozen __init__
+        # goes through object.__setattr__ once per field.
+        _set_spec(self, spec)
+        _set_lamps(self, lamps)
+        _set_shift(self, shift)
+
+    def __hash__(self) -> int:
+        return hash((self.lamps, self.shift))
 
     @classmethod
     def of(
@@ -128,12 +139,21 @@ class WreathElement:
     def word_length(self) -> int:
         """Word length for the generating set {a, a^-1, s, s^-1}."""
         lamps = self.lamps
+        n = self.shift
         if not lamps:
-            return abs(self.shift)
-        return travel_length(self.shift, lamps[0][0], lamps[-1][0]) + self.spec.lamp_cost(lamps)
+            return abs(n)
+        # travel_length(n, lo, hi), inline: this runs once per ball element.
+        lo, hi = lamps[0][0], lamps[-1][0]
+        travel = hi - lo + min(abs(lo) + abs(n - hi), abs(hi) + abs(n - lo))
+        return travel + self.spec.lamp_cost(lamps)
 
     def __str__(self) -> str:
         return format_element(self)
+
+
+_set_spec = WreathElement.spec.__set__
+_set_lamps = WreathElement.lamps.__set__
+_set_shift = WreathElement.shift.__set__
 
 
 def format_element(x: WreathElement) -> str:

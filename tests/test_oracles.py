@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ from wreathz import (
     vertex_of,
 )
 from wreathz.oracles import (
+    _members_within,
     factor_cost,
     generators,
     product_distance_pth,
@@ -144,6 +146,14 @@ def test_ball_reports():
     assert len(reports[1].elements) == 4
     assert reports[2].elements is None
     assert all(r.count <= s.count for r, s in zip(reports, reports[1:]))
+
+
+def test_ball_reports_keep_the_radius_filter_in_order():
+    reports = ball_reports(Z2, 8, keep_elements_up_to=8)
+    assert [r.count for r in reports] == Z2_BALL_SIZES
+    lengths = cayley_bfs(Z2, 8)
+    for r in reports:
+        assert r.elements == tuple(x for x, d in lengths.items() if d <= r.radius)
 
 
 def test_tree_bfs_examples():
@@ -289,3 +299,32 @@ def test_search_radius_covers_solutions():
                     x = WreathElement(Z2, lamps, n)
                     if product_distance_pth(x, p, H_DIRAC_SIMPLEX) <= radius**p:
                         assert x.word_length() <= scan
+
+
+@pytest.mark.parametrize(
+    "spec, h_mode, radii",
+    [
+        (Z2, H_DIRAC_SIMPLEX, ("0", "1", "2", "5/2", "7/3", "3")),
+        (cyclic(3), H_DIRAC_SIMPLEX, ("0", "1", "2", "5/2", "7/3", "3")),
+        (INTEGERS, H_IDENTITY_LINE, ("0", "1", "2", "5/2", "7/3")),
+    ],
+    ids=["Z/2", "Z/3", "Z"],
+)
+def test_integer_filter_matches_fraction_filter(spec, h_mode, radii):
+    # Reference: the whole candidate box (shift, support and values within
+    # [-r, r], no pruning) filtered by comparing against a Fraction.
+    for text in radii:
+        radius = Fraction(text)
+        r = int(radius)
+        values = [v for v in spec.ball(r) if v]
+        box = [
+            WreathElement(spec, tuple((q, v) for q, v in zip(range(-r, r + 1), combo) if v), n)
+            for combo in product([0, *values], repeat=2 * r + 1)
+            for n in range(-r, r + 1)
+        ]
+        for p in (1, 2, 3):
+            want = {x for x in box if product_distance_pth(x, p, h_mode) <= radius**p}
+            _, _, _, members = _members_within(spec, radius, p, h_mode, None)
+            assert set(members) == want, (text, p)
+            report, scanned, agree = properness_cross_check(spec, radius, p, h_mode)
+            assert agree and report.count == scanned == len(want)
