@@ -112,6 +112,14 @@ def test_slotted_element_is_frozen_and_structural(x):
     assert pickle.loads(pickle.dumps(x)) == x
 
 
+def test_lamp_cost_across_the_diameter_one_cut_off():
+    # Z/2 and Z/3 count lamps; from Z/4 on some value costs more than 1
+    for order in range(2, 9):
+        spec = cyclic(order)
+        lamps = tuple(enumerate(range(1, order)))
+        assert spec.lamp_cost(lamps) == sum(spec.word_length(v) for v in range(1, order))
+
+
 def test_equal_lamps_and_shift_over_different_specs_are_distinct():
     # the hash ignores the spec, so these collide; equality must still split them
     x, y = WreathElement(cyclic(3), ((0, 1),), 0), WreathElement(cyclic(5), ((0, 1),), 0)

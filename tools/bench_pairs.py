@@ -61,7 +61,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     return {
         "seed": seed,
-        "metrics": result["metrics"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
@@ -120,7 +120,15 @@ def main(argv=None) -> int:
     bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
 
-    pairs = []
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": {}}
+    entry = doc["workloads"][args.workload] = {
+        "command": f"python3 perfbench/run.py --workload {args.workload} --seed S --seconds {seconds} --trace 0",
+        "sides": {
+            side: {"git_head": git_head(checkout), "src_sha256": src_digest(checkout)}
+            for side, checkout in sides.items()
+        },
+    }
+    pairs = entry["pairs"] = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
@@ -132,21 +140,12 @@ def main(argv=None) -> int:
             f"{name} {pair['parent']['metrics'][name]:.4g} -> {pair['change']['metrics'][name]:.4g}"
             for name in pair["parent"]["metrics"]
         ), flush=True)
-
-    doc = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": {}}
-    doc["workloads"][args.workload] = {
-        "command": f"python3 perfbench/run.py --workload {args.workload} --seed S --seconds {seconds} --trace 0",
-        "sides": {
-            side: {"git_head": git_head(checkout), "src_sha256": src_digest(checkout)}
-            for side, checkout in sides.items()
-        },
-        "failed_ops": {side: sum(pr[side]["failed"] for pr in pairs) for side in sides},
-        "digests_identical": all(pr["same_digest"] for pr in pairs),
-        "summary": compare(pairs, bench["end_to_end"]),
-        "pairs": pairs,
-    }
-    args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    for name, s in doc["workloads"][args.workload]["summary"].items():
+        # Rewritten after every pair, so an interrupted set keeps its runs.
+        entry["failed_ops"] = {side: sum(pr[side]["failed"] for pr in pairs) for side in sides}
+        entry["digests_identical"] = all(pr["same_digest"] for pr in pairs)
+        entry["summary"] = compare(pairs, bench["end_to_end"])
+        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    for name, s in entry["summary"].items():
         print(
             f"{name}: median {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]"
             f" -> {s['change']['median']:.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}],"
