@@ -101,7 +101,10 @@ class GroupSpec:
             return []
         if self.order is None:
             return list(range(-radius, radius + 1))
-        return [v for v in range(self.order) if self.word_length(v) <= radius]
+        k = self.order
+        if 2 * radius + 1 >= k:
+            return list(range(k))
+        return [*range(radius + 1), *range(k - radius, k)]
 
     def __str__(self) -> str:
         return "Z" if self.order is None else f"Z/{self.order}"

@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from numbers import Rational
 
 from .basegroups import ParseError, parse_group
 from .compression import bounds, fit_envelope, lower_envelope, sample_pairs
 from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, H_MODES, TreeMode, sigma
 from .oracles import BudgetError, ball_reports, properness_check
 from .trees import TreeSide, dist_from_base, format_vertex, vertex_of
+from .vectors import format_value
 from .verify import VerifyConfig, run_suites
 from .wreath import parse_element
 
@@ -91,12 +91,6 @@ def _default_h_mode(spec) -> str:
     return H_DIRAC_SIMPLEX if spec.is_finite else H_IDENTITY_LINE
 
 
-def _format_rational_or_decimal(value) -> str:
-    if isinstance(value, Rational):
-        return str(value)
-    return f"{value:.12f}"
-
-
 def _cmd_length(args) -> int:
     spec = parse_group(args.group)
     x = parse_element(spec, args.element)
@@ -122,7 +116,7 @@ def _cmd_embed(args) -> int:
     vec = sigma(x, tree_mode, h_mode)
     for line in vec.dump_lines():
         print(line)
-    print(f"norm2\t{_format_rational_or_decimal(vec.norm_squared())}")
+    print(f"norm2\t{format_value(vec.norm_squared())}")
     print(f"norm\t{vec.norm():.12f}")
     return 0
 

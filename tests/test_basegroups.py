@@ -55,8 +55,17 @@ def test_ball_sizes():
     for k in (2, 3, 6, 7):
         spec = cyclic(k)
         for radius in range(8):
-            assert len(spec.ball(radius)) == min(k, len(spec.ball(radius)))
+            assert len(spec.ball(radius)) == min(k, 2 * radius + 1)
         assert len(spec.ball(k)) == k  # saturates at the whole group
+
+
+def test_cyclic_ball_matches_residue_scan():
+    for k in range(2, 40):
+        spec = cyclic(k)
+        for radius in range(-2, k + 3):
+            scan = [v for v in range(k) if spec.word_length(v) <= radius]
+            assert spec.ball(radius) == scan, (k, radius)
+    assert cyclic(10**9).ball(1) == [0, 1, 10**9 - 1]
 
 
 def test_cyclic_normalization():

@@ -119,6 +119,12 @@ def test_properness_report(capsys):
     assert "count,4" in out
 
 
+def test_properness_on_a_huge_cyclic_order(capsys):
+    code, out, _ = run(capsys, "properness", "--group", "Z/1000000000", "--radius", "1")
+    assert code == 0
+    assert "value_ball={}" in out
+
+
 def test_compress_fit_and_samples(capsys):
     args = ["compress", "--group", "Z/2", "--seed", "5", "--scale", "60", "--count", "400"]
     code, out, _ = run(capsys, *args)
@@ -152,11 +158,27 @@ def test_bounds_command(capsys):
     assert code == 2
 
 
-def test_verify_single_suite(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "base-groups")
+# Every suite no acceptance criterion calls; wreath-axioms has its own test.
+@pytest.mark.parametrize(
+    "suite_args",
+    [
+        ("base-groups",),
+        ("tree-action",),
+        ("weighted-embedding",),
+        ("determinism",),
+        ("literal-roundtrip",),
+        ("sigma-audits", "--samples", "2000"),
+    ],
+    ids=lambda suite_args: suite_args[0],
+)
+def test_verify_single_suite(capsys, suite_args):
+    code, out, _ = run(capsys, "verify", "--suite", *suite_args)
     assert code == 0
-    assert out.splitlines()[0].startswith("PASS base-groups")
+    assert out.splitlines()[0].startswith(f"PASS {suite_args[0]}")
     assert "passed 1/1 suites" in out
+
+
+def test_verify_unknown_suite_is_a_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--suite", "no-such-suite")
     assert code == 2
 
