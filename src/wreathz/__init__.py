@@ -54,7 +54,6 @@ from .wreath import (
     WreathElement,
     format_element,
     parse_element,
-    shift_lamps,
     travel_length,
 )
 
@@ -105,7 +104,6 @@ __all__ = [
     "properness_check",
     "properness_cross_check",
     "sample_pairs",
-    "shift_lamps",
     "sigma",
     "tree_bfs_dist",
     "travel_length",

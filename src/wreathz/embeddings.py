@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .basegroups import GroupSpec
 from .trees import TreeSide, TreeVertex, act, base_vertex, dist, dist_from_base, geodesic, vertex_of
@@ -110,6 +111,14 @@ def iota(v: TreeVertex, base: TreeVertex) -> SparseVector:
     return cocycle(base, v)
 
 
+def lamp_displacement(spec: GroupSpec, value: int, h_mode: str) -> int:
+    """The exact norm of a lamp block, `lamp_component` at any index: |value|
+    on the line, diam * [value != identity] on the simplex."""
+    if h_mode == H_IDENTITY_LINE:
+        return abs(value)
+    return spec.diameter if value else 0
+
+
 def lamp_component(spec: GroupSpec, index: int, value: int, h_mode: str) -> SparseVector:
     """Lamp block of the assembled map: the base embedding recentred so the
     identity maps to zero (off-support lamps must contribute nothing), keyed
@@ -159,6 +168,7 @@ def identity_distance_squared(x: WreathElement, tree_mode: TreeMode, h_mode: str
         e2 = 2.0 * float(tree_mode.eps)
         total = sum(float(k) ** e2 for k in range(1, dp + 1))
         total += sum(float(k) ** e2 for k in range(1, dm + 1))
+    # lamp_displacement(value)^2 summed inline: this runs once per sample.
     if h_mode == H_IDENTITY_LINE:
         total += sum(v * v for _, v in x.lamps)
     else:
@@ -212,74 +222,80 @@ def affine_alpha(g: WreathElement, base: TreeVertex) -> AffineMap:
     return AffineMap(g, base, cocycle(base, act(g, base)))
 
 
-def gamma_action_on_sum(
-    g: WreathElement,
-    vec: SparseVector,
-    h_mode: str,
-    tree_mode: TreeMode = TreeMode.cocycle(),
-    base_plus: TreeVertex | None = None,
-    base_minus: TreeVertex | None = None,
-) -> SparseVector:
+def gamma_action_on_sum(g: WreathElement, vec: SparseVector, h_mode: str) -> SparseVector:
     """The full affine action on the direct sum, under which the assembled
-    embedding is equivariant: g . sigma(x) = sigma(g x).
+    cocycle embedding is equivariant: g . sigma(x) = sigma(g x).
 
     The linear part permutes each tree's signed edges through the vertex
     action and the lamp blocks through index translation plus the base
     group's own action on its coordinates; the translation is sigma(g).
-    Only the cocycle tree embedding is equivariant, so weighted-tree
-    coordinates are rejected.
+    Weighted-tree coordinates have no equivariant action and are rejected.
     """
-    if tree_mode.kind != "cocycle":
-        raise ValueError("only the cocycle tree embedding carries the group action")
-    validate_h_mode(g.spec, h_mode)
-    spec = g.spec
-    bp = base_plus if base_plus is not None else base_vertex(spec, TreeSide.PLUS)
-    bm = base_minus if base_minus is not None else base_vertex(spec, TreeSide.MINUS)
-    n = g.shift
+    translation = sigma(g, TreeMode.cocycle(), h_mode)
+    spec, n = g.spec, g.shift
     lamps = dict(g.lamps)
-
+    simplex = h_mode == H_DIRAC_SIMPLEX
     items = []
     for key, value in vec.items():
         if isinstance(key, SignedEdge):
-            items.append((SignedEdge(act(g, key.lo), act(g, key.hi)), value))
+            key = SignedEdge(act(g, key.lo), act(g, key.hi))
         elif isinstance(key, LampCoord):
             target = key.index + n
-            if h_mode == H_DIRAC_SIMPLEX:
-                coord = spec.mul(lamps.get(target, 0), key.coord)
-            else:
-                coord = key.coord
-            items.append((LampCoord(target, coord), value))
+            coord = spec.mul(lamps.get(target, 0), key.coord) if simplex else key.coord
+            key = LampCoord(target, coord)
         else:
             raise ValueError("weighted-tree coordinates have no equivariant action")
-    out = SparseVector(items)
+        items.append((key, value))
+    return SparseVector(items) + translation
 
-    out = out + cocycle(bp, act(g, bp)) + cocycle(bm, act(g, bm))
-    for pos, value in g.lamps:
-        out = out + lamp_component(spec, pos, value, h_mode)
-    return out
+
+# Terms summed exactly by _weighted_step_bound; the rest is bounded above.
+_STEP_BOUND_TERMS = 10_000
+
+
+@lru_cache(maxsize=None)
+def _weighted_step_bound(eps: Fraction) -> float:
+    """How far one edge step moves the weighted path embedding, at most,
+    rounded up to 4 decimals.
+
+    Stepping from v to the neighbour one edge farther from the base adds a
+    unit charge and raises the weight of the old edge k steps from v from
+    k^eps to (k+1)^eps, so the step has norm at most
+    sqrt(1 + sum_{k>=1} ((k+1)^eps - k^eps)^2).
+    The series converges for eps < 1/2.  Terms k >= N are at most
+    eps^2 k^(2 eps - 2) (mean value theorem), whose sum is at most
+    eps^2 (N^(2 eps - 2) + N^(2 eps - 1) / (1 - 2 eps)).
+    """
+    if eps >= Fraction(1, 2):
+        raise ValueError(f"no finite Lipschitz constant for guka:{eps}: the step series diverges at 1/2")
+    e, n = float(eps), _STEP_BOUND_TERMS
+    head = sum(((k + 1) ** e - k**e) ** 2 for k in range(1, n))
+    tail = e * e * (n ** (2 * e - 2) + n ** (2 * e - 1) / (1 - 2 * e))
+    return math.ceil(math.sqrt(1 + head + tail) * 10_000) / 10_000
 
 
 def lipschitz_constants(spec: GroupSpec, tree_mode: TreeMode, h_mode: str) -> tuple[float, float, float]:
     """Per-component Lipschitz constants (plus tree, minus tree, lamps).
 
-    Cocycle trees move sqrt(d) <= d per unit, so 1; the weighted path
-    embedding stays below 2 at desk scale for exponents up to 1/2 (audited
-    by the sampled-pair suite).  Lamp blocks move by exactly the base word
-    length (line) or by diam times it (simplex).
+    A generator moves each tree vertex by at most one edge.  Cocycle trees
+    move sqrt(d) <= d per unit, so 1; the weighted path embedding moves by
+    `_weighted_step_bound` per edge.  Lamp images of v and v + g lie
+    `lamp_displacement(g)` apart, so a lamp generator moves the lamp blocks
+    by the largest displacement of a generator value.
     """
-    c_tree = 1.0 if tree_mode.kind == "cocycle" else 2.0
-    c_lamp = 1.0 if h_mode == H_IDENTITY_LINE else float(spec.diameter)
+    c_tree = 1.0 if tree_mode.kind == "cocycle" else _weighted_step_bound(tree_mode.eps)
+    c_lamp = float(max(lamp_displacement(spec, v, h_mode) for v in spec.generator_values()))
     return (c_tree, c_tree, c_lamp)
 
 
 def injectivity_gap(spec: GroupSpec, tree_mode: TreeMode, h_mode: str) -> float:
     """Uniform separation of the assembled embedding: distinct group elements
-    land at least this far apart.
+    land at least this far apart, for every mode.
 
     Distinct shifts separate the tree vertices, and both tree embeddings move
     at least 1 between distinct vertices (the edge adjacent to the farther
     vertex carries an uncancelled unit-or-larger charge); a differing lamp
-    contributes at least the base embedding's own gap.
+    contributes at least the least nonzero `lamp_displacement`, which is 1
+    on the line and diam >= 1 on the simplex.
     """
-    lamp_gap = 1.0 if h_mode == H_IDENTITY_LINE else float(spec.diameter)
-    return min(1.0, 1.0, lamp_gap)
+    return 1.0

@@ -20,8 +20,8 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .basegroups import GroupSpec
-from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, validate_h_mode
-from .trees import TreeSide, TreeVertex, dist_from_base
+from .embeddings import lamp_displacement, validate_h_mode
+from .trees import TreeSide, TreeVertex, dist_from_base, spine_step
 from .wreath import WreathElement
 
 DEFAULT_BUDGET = 10_000_000
@@ -43,15 +43,6 @@ def element_budget(budget: int | None = None) -> int:
     if budget < 1:
         raise ValueError(f"element budget must be >= 1, got {budget}")
     return budget
-
-
-def generators(spec: GroupSpec) -> list[WreathElement]:
-    """The standard generating set: one lamp generator per base generator
-    value, plus the shift and its inverse."""
-    gens = [WreathElement(spec, ((0, v),), 0) for v in spec.generator_values()]
-    gens.append(WreathElement(spec, (), 1))
-    gens.append(WreathElement(spec, (), -1))
-    return gens
 
 
 def cayley_bfs(
@@ -111,44 +102,25 @@ class BallReport:
 
     radius: int
     count: int
-    generator_set: str
-    elements: tuple[WreathElement, ...] | None = None
 
 
-def ball_reports(
-    spec: GroupSpec,
-    radius_cap: int,
-    budget: int | None = None,
-    keep_elements_up_to: int = -1,
-) -> list[BallReport]:
-    """Ball sizes for radii 0..radius_cap; element lists kept for the small radii."""
+def ball_reports(spec: GroupSpec, radius_cap: int, budget: int | None = None) -> list[BallReport]:
+    """Ball sizes for radii 0..radius_cap."""
     lengths = cayley_bfs(spec, radius_cap, budget)
-    desc = "lamp generators {%s} + shift" % ", ".join(map(str, spec.generator_values()))
-    # The BFS stores elements layer by layer, so the radius-r ball is the
-    # insertion-order prefix of its size.
-    members = list(lengths)
-    return [
-        BallReport(r, size, desc, tuple(members[:size]) if r <= keep_elements_up_to else None)
-        for r, size in enumerate(_ball_sizes(lengths, radius_cap))
-    ]
+    return [BallReport(r, size) for r, size in enumerate(_ball_sizes(lengths, radius_cap))]
 
 
 def _raw_tree_neighbors(vert: tuple, values, plus_side: bool) -> list[tuple]:
     """Tree adjacency on raw (level, tail) pairs, truncated to the given
-    non-identity lamp values: the unique spine-ward vertex plus one branch
-    per optional value at the level position.  The entry adjacent to the
-    level always sits at the tail's end nearest it, so tail surgery is O(1)."""
+    non-identity lamp values: the unique spine-ward vertex (`spine_step`)
+    plus one outward branch per optional value at the level position."""
     n, tail = vert
-    out = []
+    out = [spine_step(n, tail, plus_side)]
     if plus_side:
-        down = tail[:-1] if tail and tail[-1][0] == n - 1 else tail
-        out.append((n - 1, down))
         out.append((n + 1, tail))
         for value in values:
             out.append((n + 1, tail + ((n, value),)))
     else:
-        down = tail[1:] if tail and tail[0][0] == n + 1 else tail
-        out.append((n + 1, down))
         out.append((n - 1, tail))
         for value in values:
             out.append((n - 1, ((n, value),) + tail))
@@ -220,18 +192,10 @@ def tree_bfs_dist(
     raise RuntimeError("frontiers died out; the truncated tree is connected, so this is a bug")
 
 
-def factor_cost(spec: GroupSpec, value: int, h_mode: str) -> int:
-    """Displacement of the base point of the lamp factor space under a value:
-    |value| for the integer line, diam * [value != identity] for the simplex."""
-    if h_mode == H_IDENTITY_LINE:
-        return abs(value)
-    return spec.diameter if value else 0
-
-
 def _factor_costs_pth(spec: GroupSpec, values, p: int, h_mode: str) -> dict[int, int]:
-    """factor_cost(value)^p for each of the values: the per-call table the
-    properness filters read lamp costs from."""
-    return {v: factor_cost(spec, v, h_mode) ** p for v in values}
+    """lamp_displacement(value)^p for each of the values: the per-call table
+    the properness filters read lamp costs from."""
+    return {v: lamp_displacement(spec, v, h_mode) ** p for v in values}
 
 
 def _distance_pth(x: WreathElement, p: int, costs: dict[int, int]) -> int:
@@ -274,64 +238,52 @@ class PropernessReport:
         ]
 
 
-def _max_lamp_sum_line(budget: int, positions: int, p: int) -> int:
-    """Max total |value| over at most `positions` integer lamps with
-    sum(|value|^p) <= budget; small bounded knapsack."""
-    if budget <= 0 or positions <= 0:
-        return 0
-    if p == 1:
-        return budget
+def _max_lamp_sum(budget: int, positions: int, p: int, sizes: list[int]) -> int:
+    """Max total size over at most `positions` lamps, each of one of the
+    ascending `sizes`, with sum(size^p) <= budget; small bounded knapsack."""
     best = [0] * (budget + 1)
-    vmax = int(budget ** (1.0 / p)) + 1
-    while vmax**p > budget:
-        vmax -= 1
     for _ in range(positions):
         nxt = best[:]
         for c in range(budget + 1):
-            for v in range(1, vmax + 1):
-                cost = c + v**p
+            for size in sizes:
+                cost = c + size**p
                 if cost > budget:
                     break
-                if best[c] + v > nxt[cost]:
-                    nxt[cost] = best[c] + v
+                if best[c] + size > nxt[cost]:
+                    nxt[cost] = best[c] + size
         best = nxt
     return max(best)
 
 
 def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int, h_mode: str) -> int:
     """A word-length bound covering every element that moves the base point
-    at most `radius`: maximize d+ + d- + sum of lamp lengths over the
-    feasible component combinations (word length never exceeds that sum)."""
+    at most `radius`: maximize d+ + d- + sum of lamp displacements over the
+    feasible component combinations (word length never exceeds d+ + d- plus
+    the lamp lengths, and a lamp's length never exceeds its displacement)."""
     r = int(radius)
     rp = Fraction(radius) ** p
     npos = 2 * r + 1
+    sizes = sorted({lamp_displacement(spec, v, h_mode) for v in _value_ball(spec, radius, h_mode)})
     best = r
     for dp in range(r + 1):
         for dm in range(r + 1):
             rem = rp - dp**p - dm**p
-            if rem < 0:
-                continue
-            if h_mode == H_DIRAC_SIMPLEX:
-                diam = spec.diameter
-                lit = min(npos, int(rem / diam**p)) if diam else 0
-                lamp_sum = lit * diam
-            else:
-                lamp_sum = _max_lamp_sum_line(int(rem), npos, p)
-            best = max(best, dp + dm + lamp_sum)
+            if rem >= 0:
+                best = max(best, dp + dm + _max_lamp_sum(int(rem), npos, p, sizes))
     return best
 
 
 def _value_ball(spec: GroupSpec, radius: Fraction, h_mode: str) -> tuple[int, ...]:
     r = int(radius)
     values = spec.ball(r) if spec.is_finite else range(-r, r + 1)
-    return tuple(v for v in values if v and factor_cost(spec, v, h_mode) <= radius)
+    return tuple(v for v in values if v and lamp_displacement(spec, v, h_mode) <= radius)
 
 
 def _superset_members(spec: GroupSpec, radius: Fraction, limit: int, costs: dict[int, int], budget: int):
     """Enumerate the candidate family of the finiteness argument: shifts and
     support within [-R, R], values in the factor ball (the keys of `costs`,
-    which maps each to its factor cost^p).  Configurations whose lamp cost
-    already exceeds `limit`, the integer metric bound, are pruned early;
+    which maps each to its lamp_displacement^p).  Configurations whose lamp
+    cost already exceeds `limit`, the integer metric bound, are pruned early;
     pruning only discards candidates the distance filter would reject anyway."""
     r = int(radius)
     positions = list(range(-r, r + 1))

@@ -108,20 +108,26 @@ def dist(u: TreeVertex, v: TreeVertex) -> int:
     return (k - u.level) + (k - v.level)
 
 
+def spine_step(level: int, tail: LampConfig, plus: bool) -> tuple[int, LampConfig]:
+    """The raw (level, tail) neighbour one edge toward the spine: level - 1 on
+    the plus side, level + 1 on the minus side, with the tail entry at the
+    new level dropped.  That entry sits at the tail's end nearest the level,
+    so the step is O(1)."""
+    if plus:
+        level -= 1
+        return level, tail[:-1] if tail and tail[-1][0] == level else tail
+    level += 1
+    return level, tail[1:] if tail and tail[0][0] == level else tail
+
+
 def _descent(v: TreeVertex, target_level: int) -> list[TreeVertex]:
     """Vertices from v down to target_level inclusive."""
     out = [v]
-    tail = v.tail
-    if v.side is TreeSide.PLUS:
-        for k in range(v.level - 1, target_level - 1, -1):
-            if tail and tail[-1][0] >= k:
-                tail = tail[:-1]
-            out.append(TreeVertex(v.spec, v.side, k, tail))
-    else:
-        for k in range(v.level + 1, target_level + 1):
-            if tail and tail[0][0] <= k:
-                tail = tail[1:]
-            out.append(TreeVertex(v.spec, v.side, k, tail))
+    level, tail = v.level, v.tail
+    plus = v.side is TreeSide.PLUS
+    for _ in range(abs(v.level - target_level)):
+        level, tail = spine_step(level, tail, plus)
+        out.append(TreeVertex(v.spec, v.side, level, tail))
     return out
 
 

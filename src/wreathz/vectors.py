@@ -20,21 +20,28 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Union
 
-from .trees import TreeVertex, format_vertex
+from .trees import TreeSide, TreeVertex, format_vertex, spine_step
 
 
 @dataclass(frozen=True)
 class GeomEdge:
-    """Unoriented tree edge, endpoints ordered by level."""
+    """Unoriented tree edge, endpoints ordered by level: on the plus tree hi
+    steps toward the spine to lo, on the minus tree lo steps to hi."""
 
     lo: TreeVertex
     hi: TreeVertex
 
     def __post_init__(self):
-        if self.lo.side is not self.hi.side or self.lo.spec != self.hi.spec:
+        lo, hi = self.lo, self.hi
+        # `is` first: GroupSpec equality is Python code, run once per edge.
+        if lo.side is not hi.side or (lo.spec is not hi.spec and lo.spec != hi.spec):
             raise ValueError("edge endpoints must lie in the same tree")
-        if self.hi.level - self.lo.level != 1:
-            raise ValueError("edge endpoints must be on adjacent levels")
+        if lo.side is TreeSide.PLUS:
+            adjacent = spine_step(hi.level, hi.tail, True) == (lo.level, lo.tail)
+        else:
+            adjacent = spine_step(lo.level, lo.tail, False) == (hi.level, hi.tail)
+        if not adjacent:
+            raise ValueError("edge endpoints must be adjacent, ordered by level")
 
 
 def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
@@ -81,11 +88,6 @@ def _key_rows(key: CoordKey) -> list[tuple[tuple, str, int]]:
     return [((2, key.index, key.coord), f"lamp {key.index} : {key.coord}", 1)]
 
 
-def format_key(key: CoordKey) -> str:
-    """Literal of a coordinate; a signed edge reads as its lo -> hi half."""
-    return _key_rows(key)[0][1]
-
-
 def format_value(value: Scalar) -> str:
     if isinstance(value, Rational):
         return str(value)
@@ -106,10 +108,6 @@ class SparseVector:
             else:
                 acc.pop(key, None)
         self._entries = acc
-
-    @classmethod
-    def zero(cls) -> "SparseVector":
-        return cls()
 
     @classmethod
     def single(cls, key: CoordKey, value: Scalar) -> "SparseVector":

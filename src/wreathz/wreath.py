@@ -35,11 +35,6 @@ def canonical_lamps(spec: GroupSpec, items: Iterable[tuple[int, int]]) -> LampCo
     return tuple(sorted(acc.items()))
 
 
-def shift_lamps(offset: int, lamps: LampConfig) -> LampConfig:
-    """The shift action on configurations: result[k] = lamps[k - offset]."""
-    return tuple((pos + offset, value) for pos, value in lamps)
-
-
 def travel_length(shift: int, lo: int, hi: int) -> int:
     """Length of the shortest walk on Z from 0 to `shift` visiting lo and hi.
 
@@ -98,10 +93,6 @@ class WreathElement:
     @classmethod
     def identity(cls, spec: GroupSpec) -> "WreathElement":
         return cls(spec, (), 0)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.lamps and self.shift == 0
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         if self.spec != other.spec:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathz import (
     INTEGERS,
@@ -19,6 +21,7 @@ from wreathz import (
     cocycle,
     cyclic,
     dist,
+    dist_from_base,
     embedded_distance,
     gamma_action_on_sum,
     iota,
@@ -30,6 +33,7 @@ from wreathz.embeddings import (
     identity_distance_squared,
     injectivity_gap,
     lamp_component,
+    lamp_displacement,
     lipschitz_constants,
     validate_h_mode,
 )
@@ -204,6 +208,35 @@ def test_simplex_distances_are_diameter_times_indicator():
             assert d == pytest.approx(0.0 if s == t else 3.0, abs=1e-12)
 
 
+def test_lamp_displacement_is_the_norm_of_the_lamp_block():
+    cases = [(INTEGERS, H_IDENTITY_LINE, range(-6, 7))]
+    cases += [(cyclic(k), H_DIRAC_SIMPLEX, range(k)) for k in (2, 3, 5, 8)]
+    for spec, h_mode, values in cases:
+        for value in values:
+            block = lamp_component(spec, 4, value, h_mode)
+            want = lamp_displacement(spec, value, h_mode)
+            assert block.norm() == pytest.approx(want, abs=1e-12)
+
+
+@st.composite
+def pinned_elements(draw):
+    spec = draw(st.sampled_from((Z2, cyclic(5), INTEGERS)))
+    values = st.integers(0, spec.order - 1) if spec.is_finite else st.integers(-40, 40)
+    lamps = draw(st.dictionaries(st.integers(-20, 20), values, max_size=8))
+    return WreathElement.of(spec, lamps, draw(st.integers(-25, 25)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(pinned_elements())
+def test_identity_distance_squared_sums_lamp_displacements(x):
+    # the sampler's inline lamp sums are lamp_displacement squared, exactly
+    h_mode = H_DIRAC_SIMPLEX if x.spec.is_finite else H_IDENTITY_LINE
+    lamps = sum(lamp_displacement(x.spec, v, h_mode) ** 2 for _, v in x.lamps)
+    want = dist_from_base(x, PLUS) + dist_from_base(x, TreeSide.MINUS) + lamps
+    got = identity_distance_squared(x, COCYCLE, h_mode)
+    assert got == want and type(got) is int
+
+
 def test_h_embed_mode_mismatch():
     with pytest.raises(ValueError, match="integer lamps"):
         validate_h_mode(Z2, H_IDENTITY_LINE)
@@ -289,29 +322,22 @@ def test_gamma_action_is_isometric():
         assert lhs == pytest.approx((a - b).norm(), rel=1e-9, abs=1e-9)
 
 
-def test_gamma_action_with_custom_bases_is_still_an_action():
+def test_gamma_action_is_an_action():
     rng = random.Random(30)
-    bp = vx(1)
-    bm = vx(-2, side=TreeSide.MINUS)
-    for _ in range(50):
-        g, h = random_element(Z2, rng), random_element(Z2, rng)
-        probe = sigma(random_element(Z2, rng), COCYCLE, H_DIRAC_SIMPLEX)
-        one_step = gamma_action_on_sum(g * h, probe, H_DIRAC_SIMPLEX, COCYCLE, bp, bm)
-        two_step = gamma_action_on_sum(
-            g,
-            gamma_action_on_sum(h, probe, H_DIRAC_SIMPLEX, COCYCLE, bp, bm),
-            H_DIRAC_SIMPLEX,
-            COCYCLE,
-            bp,
-            bm,
-        )
-        assert one_step == two_step
+    for spec, h_mode in ((Z2, H_DIRAC_SIMPLEX), (cyclic(3), H_DIRAC_SIMPLEX), (INTEGERS, H_IDENTITY_LINE)):
+        for _ in range(50):
+            g, h = random_element(spec, rng), random_element(spec, rng)
+            # a sum of two images is not itself an image of sigma
+            probe = sigma(random_element(spec, rng), COCYCLE, h_mode) + sigma(
+                random_element(spec, rng), COCYCLE, h_mode
+            )
+            one_step = gamma_action_on_sum(g * h, probe, h_mode)
+            two_step = gamma_action_on_sum(g, gamma_action_on_sum(h, probe, h_mode), h_mode)
+            assert one_step == two_step
 
 
 def test_gamma_action_rejects_weighted_mode():
     x = el(Z2, {0: 1}, 0)
-    with pytest.raises(ValueError, match="cocycle"):
-        gamma_action_on_sum(x, SparseVector(), H_DIRAC_SIMPLEX, TreeMode.guka(Fraction(1, 4)))
     weighted = sigma(el(Z2, {0: 1}, 2), TreeMode.guka(Fraction(1, 4)), H_DIRAC_SIMPLEX)
     with pytest.raises(ValueError, match="no equivariant action"):
         gamma_action_on_sum(x, weighted, H_DIRAC_SIMPLEX)
@@ -324,12 +350,26 @@ def test_lipschitz_constants_and_gap():
     assert lipschitz_constants(Z2, COCYCLE, H_DIRAC_SIMPLEX) == (1.0, 1.0, 1.0)
     assert lipschitz_constants(cyclic(7), COCYCLE, H_DIRAC_SIMPLEX) == (1.0, 1.0, 3.0)
     assert lipschitz_constants(INTEGERS, TreeMode.guka(Fraction(1, 4)), H_IDENTITY_LINE) == (
-        2.0,
-        2.0,
+        1.0602,
+        1.0602,
         1.0,
     )
+    assert lipschitz_constants(Z2, TreeMode.guka(Fraction(2, 5)), H_DIRAC_SIMPLEX) == (1.341, 1.341, 1.0)
+    with pytest.raises(ValueError, match="diverges"):
+        lipschitz_constants(INTEGERS, TreeMode.guka(Fraction(1, 2)), H_IDENTITY_LINE)
     assert injectivity_gap(Z2, COCYCLE, H_DIRAC_SIMPLEX) == 1.0
     assert injectivity_gap(INTEGERS, COCYCLE, H_IDENTITY_LINE) == 1.0
+
+
+def test_weighted_step_bound_covers_the_edge_steps():
+    # stepping outward from distance d moves the image by the partial sum
+    # sqrt(1 + sum_{k<=d} ((k+1)^eps - k^eps)^2), which rises to the bound
+    for eps in (Fraction(1, 4), Fraction(2, 5)):
+        c = lipschitz_constants(Z2, TreeMode.guka(eps), H_DIRAC_SIMPLEX)[0]
+        images = [weighted_tree_embed(vx(d), BASE, eps) for d in range(150)]
+        steps = [(b - a).norm() for a, b in zip(images, images[1:])]
+        assert steps == sorted(steps)
+        assert steps[-1] <= c
 
 
 def test_sigma_lipschitz_and_gap_small_sample():

@@ -22,9 +22,8 @@ from wreathz import (
     vertex_of,
 )
 from wreathz.oracles import (
+    _factor_costs_pth,
     _members_within,
-    factor_cost,
-    generators,
     product_distance_pth,
     properness_search_radius,
 )
@@ -64,13 +63,6 @@ def el(spec, lamps, shift):
     return WreathElement.of(spec, lamps, shift)
 
 
-def test_generators():
-    gens = generators(Z2)
-    assert len(gens) == 3  # a, s, s^-1 (a is its own inverse)
-    assert len(generators(cyclic(3))) == 4
-    assert len(generators(INTEGERS)) == 4
-
-
 def test_bfs_radius_zero():
     assert cayley_bfs(Z2, 0) == {WreathElement.identity(Z2): 0}
 
@@ -102,7 +94,7 @@ def test_bfs_equals_reference_expansion(spec, radius_cap):
         got = cayley_bfs(spec, radius)
         want = reference_cayley_bfs(spec, radius)
         assert got == want
-        # same discovery order too, so ball_reports lists elements alike
+        # same discovery order too
         assert list(got.items()) == list(want.items())
 
 
@@ -140,20 +132,12 @@ def test_budget_env_var(monkeypatch):
 
 
 def test_ball_reports():
-    reports = ball_reports(Z2, 4, keep_elements_up_to=1)
-    assert [r.count for r in reports] == Z2_BALL_SIZES[:5]
-    assert [r.radius for r in reports] == [0, 1, 2, 3, 4]
-    assert len(reports[1].elements) == 4
-    assert reports[2].elements is None
-    assert all(r.count <= s.count for r, s in zip(reports, reports[1:]))
-
-
-def test_ball_reports_keep_the_radius_filter_in_order():
-    reports = ball_reports(Z2, 8, keep_elements_up_to=8)
+    reports = ball_reports(Z2, 8)
     assert [r.count for r in reports] == Z2_BALL_SIZES
+    assert [r.radius for r in reports] == list(range(9))
     lengths = cayley_bfs(Z2, 8)
     for r in reports:
-        assert r.elements == tuple(x for x, d in lengths.items() if d <= r.radius)
+        assert r.count == sum(1 for d in lengths.values() if d <= r.radius)
 
 
 def test_tree_bfs_examples():
@@ -232,10 +216,12 @@ def test_tree_bfs_matches_dist_random():
 
 
 def test_factor_cost():
-    assert factor_cost(INTEGERS, -3, H_IDENTITY_LINE) == 3
-    assert factor_cost(Z2, 1, H_DIRAC_SIMPLEX) == 1
-    assert factor_cost(cyclic(7), 2, H_DIRAC_SIMPLEX) == 3
-    assert factor_cost(cyclic(7), 0, H_DIRAC_SIMPLEX) == 0
+    # the properness filters' lamp costs: lamp_displacement(value)^p
+    assert _factor_costs_pth(INTEGERS, (-3, 2), 1, H_IDENTITY_LINE) == {-3: 3, 2: 2}
+    assert _factor_costs_pth(INTEGERS, (-3, 2), 2, H_IDENTITY_LINE) == {-3: 9, 2: 4}
+    assert _factor_costs_pth(Z2, (1,), 2, H_DIRAC_SIMPLEX) == {1: 1}
+    assert _factor_costs_pth(cyclic(7), (0, 2, 6), 1, H_DIRAC_SIMPLEX) == {0: 0, 2: 3, 6: 3}
+    assert _factor_costs_pth(cyclic(7), (0, 2), 2, H_DIRAC_SIMPLEX) == {0: 0, 2: 9}
 
 
 def test_properness_radius_zero_counts_identity_only():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathz import (
     INTEGERS,
@@ -14,10 +16,11 @@ from wreathz import (
     dist_from_base,
     format_vertex,
     geodesic,
+    geom_edge,
     vertex_of,
 )
 from wreathz.oracles import _raw_tree_neighbors
-from wreathz.trees import meet_level, representative
+from wreathz.trees import _descent, meet_level, representative, spine_step
 from wreathz.verify import random_element, random_stabilizer_element
 
 Z2 = cyclic(2)
@@ -161,6 +164,54 @@ def test_neighbors_shape():
         assert len(set(nbs)) == len(nbs)
         for nb in nbs:
             assert dist(v, nb) == 1
+
+
+VALUE_RADIUS = 2
+
+
+@st.composite
+def truncated_vertices(draw):
+    """A vertex of either tree whose tail values lie in the value-radius-2
+    truncation, with the nonzero values of that truncation."""
+    spec = draw(st.sampled_from((Z2, cyclic(3), cyclic(5), INTEGERS)))
+    values = tuple(w for w in spec.ball(VALUE_RADIUS) if w)
+    side = draw(st.sampled_from(list(TreeSide)))
+    level = draw(st.integers(-6, 6))
+    far = range(level - 8, level) if side is PLUS else range(level + 1, level + 9)
+    tail = draw(st.dictionaries(st.sampled_from(far), st.sampled_from(values), max_size=6))
+    return TreeVertex(spec, side, level, tuple(sorted(tail.items()))), values
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(truncated_vertices())
+def test_raw_neighbors_step_back_through_spine_step(case):
+    v, values = case
+    plus = v.side is PLUS
+    spine_ward, *outward = _raw_tree_neighbors((v.level, v.tail), values, plus)
+    assert spine_ward == spine_step(v.level, v.tail, plus)
+    assert len(outward) == len(values) + 1
+    for level, tail in outward:
+        assert spine_step(level, tail, plus) == (v.level, v.tail)
+    # every pair is a tree edge, so both edge classes accept it
+    for level, tail in (spine_ward, *outward):
+        nb = TreeVertex(v.spec, v.side, level, tail)
+        assert dist(v, nb) == 1
+        geom_edge(v, nb)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(truncated_vertices(), st.integers(0, 10))
+def test_descent_iterates_spine_step(case, steps):
+    v, _ = case
+    plus = v.side is PLUS
+    want = [v]
+    level, tail = v.level, v.tail
+    for _ in range(steps):
+        level, tail = spine_step(level, tail, plus)
+        want.append(TreeVertex(v.spec, v.side, level, tail))
+    target = v.level - steps if plus else v.level + steps
+    assert _descent(v, target) == want
+    assert [dist(v, w) for w in want] == list(range(steps + 1))
 
 
 def test_meet_level_symmetric():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wreathz import SparseVector, TreeSide, TreeVertex, cyclic, geom_edge
-from wreathz.vectors import GeomEdge, LampCoord, SignedEdge, format_key
+from wreathz.vectors import GeomEdge, LampCoord, SignedEdge
 
 Z2 = cyclic(2)
 
@@ -49,6 +49,25 @@ def test_edge_constructors_validate_adjacency():
         SignedEdge(vx(0), vx(1, side=TreeSide.MINUS))
 
 
+def test_edges_reject_non_adjacent_endpoints_on_both_trees():
+    minus = TreeSide.MINUS
+    # levels one apart, endpoints far apart: the tails disagree off the step
+    pairs = [
+        (vx(0), vx(1, [(-5, 1)])),  # distance 11
+        (vx(0, [(-1, 1)]), vx(1)),  # distance 3
+        (vx(0, [(5, 1)], side=minus), vx(1, side=minus)),  # distance 9
+        (vx(0, side=minus), vx(1, [(2, 1)], side=minus)),  # distance 3
+    ]
+    for lo, hi in pairs:
+        for edge_class in (GeomEdge, SignedEdge):
+            with pytest.raises(ValueError, match="adjacent"):
+                edge_class(lo, hi)
+    # the tail entry at the lower level belongs to the plus tree's upper end
+    # and to the minus tree's lower end
+    SignedEdge(vx(0), vx(1, [(0, 1)]))
+    SignedEdge(vx(0, [(1, 1)], side=minus), vx(1, side=minus))
+
+
 def test_vector_arithmetic_prunes_zeros():
     a, b = vx(0), vx(1)
     e = SignedEdge(a, b)
@@ -58,7 +77,7 @@ def test_vector_arithmetic_prunes_zeros():
     assert total.get(e) == 0
     assert len(total) == 1
     assert total - total == SparseVector()
-    assert -total + total == SparseVector.zero()
+    assert -total + total == SparseVector()
     assert (total * 3).get(LampCoord(0, 1)) == 1
     assert (0 * total) == SparseVector()
 
@@ -88,8 +107,3 @@ def test_dump_is_deterministic_and_ordered():
     assert lines[4] == "lamp 2 : 1\t0.500000000000"
     assert "7/2" in lines[0]
 
-
-def test_format_key_uses_vertex_literals():
-    a, b = vx(0), vx(1)
-    assert format_key(SignedEdge(a, b)) == "oe T+ [0 | ] -> T+ [1 | ]"
-    assert format_key(geom_edge(b, a)) == "ge T+ [0 | ] -- T+ [1 | ]"

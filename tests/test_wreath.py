@@ -13,7 +13,6 @@ from wreathz import (
     cyclic,
     format_element,
     parse_element,
-    shift_lamps,
     travel_length,
 )
 from wreathz.basegroups import LENGTH_TABLE_MAX_ORDER
@@ -124,12 +123,6 @@ def test_equal_lamps_and_shift_over_different_specs_are_distinct():
     # the hash ignores the spec, so these collide; equality must still split them
     x, y = WreathElement(cyclic(3), ((0, 1),), 0), WreathElement(cyclic(5), ((0, 1),), 0)
     assert x != y and len({x, y}) == 2 and len({x: 0, y: 1}) == 2
-
-
-def test_shift_action_examples():
-    assert shift_lamps(2, ((0, 1),)) == ((2, 1),)
-    assert shift_lamps(0, ((-3, 1), (5, 1))) == ((-3, 1), (5, 1))
-    assert shift_lamps(-1, ((-1, 1), (1, 1))) == ((-2, 1), (0, 1))
 
 
 def test_canonical_form():
