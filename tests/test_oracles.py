@@ -132,6 +132,13 @@ def test_budget_env_var(monkeypatch):
 
 
 def test_ball_reports():
+    reports = ball_reports(Z2, 4)
+    assert [r.count for r in reports] == Z2_BALL_SIZES[:5]
+    assert [r.radius for r in reports] == [0, 1, 2, 3, 4]
+    assert all(r.count <= s.count for r, s in zip(reports, reports[1:]))
+
+
+def test_ball_reports_keep_the_radius_filter_in_order():
     reports = ball_reports(Z2, 8)
     assert [r.count for r in reports] == Z2_BALL_SIZES
     assert [r.radius for r in reports] == list(range(9))
