@@ -36,6 +36,7 @@ from .oracles import (
     properness_check,
     properness_cross_check,
     tree_bfs_dist,
+    tree_bfs_dists,
 )
 from .trees import (
     TreeSide,
@@ -106,6 +107,7 @@ __all__ = [
     "sample_pairs",
     "sigma",
     "tree_bfs_dist",
+    "tree_bfs_dists",
     "travel_length",
     "vertex_of",
     "weighted_tree_embed",

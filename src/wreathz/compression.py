@@ -27,7 +27,6 @@ from .basegroups import GroupSpec
 from .embeddings import (
     TreeMode,
     identity_distance_squared,
-    injectivity_gap,
     lipschitz_constants,
 )
 from .wreath import WreathElement
@@ -156,9 +155,12 @@ def audit_lipschitz(
 def audit_injectivity_gap(
     samples: Sequence[DistortionSample], spec: GroupSpec, tree_mode: TreeMode, h_mode: str
 ) -> list[DistortionSample]:
-    """Samples violating the uniform separation of distinct elements."""
-    gap = injectivity_gap(spec, tree_mode, h_mode)
-    return [s for s in samples if s.word_length >= 1 and s.embedded_dist < gap]
+    """Samples violating the uniform separation of distinct elements: in every
+    mode, a non-identity element lands at least 1 from the identity.  It moves
+    a lamp, by a `lamp_displacement` >= 1, or its nonzero shift moves both
+    base vertices, and distinct vertices of either tree embed at least 1
+    apart (the edge next to the farther one keeps an uncancelled charge)."""
+    return [s for s in samples if s.word_length >= 1 and s.embedded_dist < 1]
 
 
 @dataclass(frozen=True)

@@ -286,16 +286,3 @@ def lipschitz_constants(spec: GroupSpec, tree_mode: TreeMode, h_mode: str) -> tu
     c_tree = 1.0 if tree_mode.kind == "cocycle" else _weighted_step_bound(tree_mode.eps)
     c_lamp = float(max(lamp_displacement(spec, v, h_mode) for v in spec.generator_values()))
     return (c_tree, c_tree, c_lamp)
-
-
-def injectivity_gap(spec: GroupSpec, tree_mode: TreeMode, h_mode: str) -> float:
-    """Uniform separation of the assembled embedding: distinct group elements
-    land at least this far apart, for every mode.
-
-    Distinct shifts separate the tree vertices, and both tree embeddings move
-    at least 1 between distinct vertices (the edge adjacent to the farther
-    vertex carries an uncancelled unit-or-larger charge); a differing lamp
-    contributes at least the least nonzero `lamp_displacement`, which is 1
-    on the line and diam >= 1 on the simplex.
-    """
-    return 1.0

@@ -2,7 +2,7 @@
 
 Everything here is deliberately independent of the closed forms it checks:
 word lengths come from layer-by-layer expansion over the standard
-generators, tree distances from bidirectional search using only adjacency,
+generators, tree distances from a layered search using only adjacency,
 and properness counts from filtering a finite candidate family by the exact
 product metric.  All searches carry an element budget (default 10^7,
 overridable via the WREATHZ_ELEMENT_BUDGET environment variable).  It is a
@@ -27,6 +27,10 @@ from .wreath import WreathElement
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "WREATHZ_ELEMENT_BUDGET"
 
+# Memory: a batch tree search holds its shared ball for the whole batch, at
+# about 200 B a vertex, so the ball stops growing before it passes this size.
+_SHARED_BALL_CAP = 200_000
+
 _value = itemgetter(1)
 
 
@@ -45,6 +49,23 @@ def element_budget(budget: int | None = None) -> int:
     return budget
 
 
+def _grow(seen: dict, frontier: list, depth: int, neighbors, budget: int, held: int = 0) -> list:
+    """One breadth-first layer: store each unseen neighbour of the frontier at
+    `depth`, in discovery order, and return them.  The store that would take
+    len(seen) + held (what the other side of a search stores) past the
+    budget raises instead."""
+    cap = budget - held
+    grown = []
+    for vert in frontier:
+        for nb in neighbors(vert):
+            if nb not in seen:
+                if len(seen) >= cap:
+                    raise BudgetError(f"({budget + 1} > {budget})")
+                seen[nb] = depth
+                grown.append(nb)
+    return grown
+
+
 def cayley_bfs(
     spec: GroupSpec, radius_cap: int, budget: int | None = None
 ) -> dict[WreathElement, int]:
@@ -56,36 +77,30 @@ def cayley_bfs(
     budget = element_budget(budget)
     lamp_values = spec.generator_values()
     order = spec.order
-    fanout = 2 + len(lamp_values)
-    start = ((), 0)
-    found: dict[tuple, int] = {start: 0}
-    frontier = [start]
+
+    def neighbors(el: tuple) -> list[tuple]:
+        lamps, n = el
+        # A lamp generator only changes the lamp under the cursor n: split
+        # the configuration there once and splice each new value back in.
+        i = bisect_left(lamps, (n,))
+        head = lamps[:i]
+        if i < len(lamps) and lamps[i][0] == n:
+            cur, rest = lamps[i][1], lamps[i + 1 :]
+        else:
+            cur, rest = 0, lamps[i:]
+        nxt = [(lamps, n + 1), (lamps, n - 1)]
+        for g in lamp_values:
+            v = (cur + g) % order if order else cur + g
+            nxt.append((head + ((n, v),) + rest if v else head + rest, n))
+        return nxt
+
+    found: dict[tuple, int] = {((), 0): 0}
+    frontier = list(found)
     for layer in range(1, radius_cap + 1):
-        grown = []
-        # Only a layer that could outgrow the budget counts before storing.
-        near_cap = len(found) + len(frontier) * fanout > budget
-        for lamps, n in frontier:
-            # A lamp generator only changes the lamp under the cursor n: split
-            # the configuration there once and splice each new value back in.
-            i = bisect_left(lamps, (n,))
-            head = lamps[:i]
-            if i < len(lamps) and lamps[i][0] == n:
-                cur, rest = lamps[i][1], lamps[i + 1 :]
-            else:
-                cur, rest = 0, lamps[i:]
-            nxt = [(lamps, n + 1), (lamps, n - 1)]
-            for g in lamp_values:
-                v = (cur + g) % order if order else cur + g
-                nxt.append((head + ((n, v),) + rest if v else head + rest, n))
-            if near_cap and len(found) + sum(el not in found for el in nxt) > budget:
-                raise BudgetError(
-                    f"Cayley ball outgrew the element budget ({budget + 1} > {budget}) at radius {layer}"
-                )
-            for el in nxt:
-                if el not in found:
-                    found[el] = layer
-                    grown.append(el)
-        frontier = grown
+        try:
+            frontier = _grow(found, frontier, layer, neighbors, budget)
+        except BudgetError as err:
+            raise BudgetError(f"Cayley ball outgrew the element budget {err} at radius {layer}") from None
     return {WreathElement(spec, lamps, n): d for (lamps, n), d in found.items()}
 
 
@@ -110,86 +125,82 @@ def ball_reports(spec: GroupSpec, radius_cap: int, budget: int | None = None) ->
     return [BallReport(r, size) for r, size in enumerate(_ball_sizes(lengths, radius_cap))]
 
 
-def _raw_tree_neighbors(vert: tuple, values, plus_side: bool) -> list[tuple]:
+def _tree_neighbors(values, plus_side: bool):
     """Tree adjacency on raw (level, tail) pairs, truncated to the given
-    non-identity lamp values: the unique spine-ward vertex (`spine_step`)
-    plus one outward branch per optional value at the level position."""
-    n, tail = vert
-    out = [spine_step(n, tail, plus_side)]
-    if plus_side:
-        out.append((n + 1, tail))
-        for value in values:
-            out.append((n + 1, tail + ((n, value),)))
-    else:
-        out.append((n - 1, tail))
-        for value in values:
-            out.append((n - 1, ((n, value),) + tail))
-    return out
+    non-identity lamp values: a vertex's spine-ward vertex (`spine_step`)
+    and one outward branch per optional value at the level position."""
+
+    def neighbors(vert: tuple) -> list[tuple]:
+        n, tail = vert
+        out = [spine_step(n, tail, plus_side)]
+        if plus_side:
+            out.append((n + 1, tail))
+            for value in values:
+                out.append((n + 1, tail + ((n, value),)))
+        else:
+            out.append((n - 1, tail))
+            for value in values:
+                out.append((n - 1, ((n, value),) + tail))
+        return out
+
+    return neighbors
 
 
-def tree_bfs_dist(
-    u: TreeVertex, v: TreeVertex, value_radius: int, budget: int | None = None
-) -> int:
-    """Distance in the tree truncated to lamp values of base word length at
-    most value_radius, by bidirectional breadth-first search.
+def tree_bfs_dist(u: TreeVertex, v: TreeVertex, value_radius: int, budget: int | None = None) -> int:
+    """Distance from u to v in the truncated tree: `tree_bfs_dists` for one
+    target, which is bidirectional breadth-first search."""
+    return tree_bfs_dists(u, [v], value_radius, budget)[0]
 
-    The truncated tree is an isometrically embedded subtree, so the result
-    equals the true distance whenever both tails fit inside the truncation
-    (checked here).  Geodesics never introduce values beyond the two tails.
-    """
-    if u.side is not v.side or u.spec != v.spec:
-        raise ValueError("tree BFS needs two vertices of the same tree")
+
+def tree_bfs_dists(
+    u: TreeVertex, targets: list[TreeVertex], value_radius: int, budget: int | None = None
+) -> list[int]:
+    """Distance from u to each target in the tree truncated to lamp values of
+    base word length at most value_radius (an isometric subtree: the results
+    are exact when all tails fit, checked here), by breadth-first search.
+
+    A ball around u is shared across the targets; each target outside it
+    grows its own ball until a new layer of either meets the other.  Both are
+    complete balls, disjoint one layer before, so the distance is the sum of
+    their radii.  The shared ball grows while its
+    frontier is at most `left` (targets to do) times the target's and, with
+    more than one left, its next layer stays under `_SHARED_BALL_CAP`.  The
+    budget caps the shared ball and the current target's ball together."""
     if value_radius < 0:
         raise ValueError(f"value_radius must be >= 0, got {value_radius}")
-    spec = u.spec
-    values = tuple(w for w in spec.ball(value_radius) if w)
+    values = tuple(filter(None, u.spec.ball(value_radius)))
     allowed = set(values)
-    for vert in (u, v):
-        if any(val not in allowed for _, val in vert.tail):
+    for v in (u, *targets):
+        if v.side is not u.side or v.spec != u.spec:
+            raise ValueError("tree BFS needs two vertices of the same tree")
+        if not allowed.issuperset(map(_value, v.tail)):
             raise ValueError("tail value outside the truncation ball; raise value_radius")
-    if u == v:
-        return 0
     budget = element_budget(budget)
-    plus_side = u.side is TreeSide.PLUS
-    fanout = 2 + len(values)
-    side_a: dict[tuple, int] = {(u.level, u.tail): 0}
-    side_b: dict[tuple, int] = {(v.level, v.tail): 0}
-    frontier_a, frontier_b = list(side_a), list(side_b)
-    depth_a = depth_b = 0
-    while frontier_a and frontier_b:
-        if len(frontier_a) <= len(frontier_b):
-            seen, other, frontier = side_a, side_b, frontier_a
-            depth_a += 1
-            depth = depth_a
-        else:
-            seen, other, frontier = side_b, side_a, frontier_b
-            depth_b += 1
-            depth = depth_b
-        grown = []
-        best = None
-        # The budget caps both sides together (the other side is fixed here);
-        # only a layer that could outgrow it counts before storing.
-        cap = budget - len(other)
-        near_cap = len(seen) + len(frontier) * fanout > cap
-        for vert in frontier:
-            nbs = _raw_tree_neighbors(vert, values, plus_side)
-            if near_cap and len(seen) + sum(nb not in seen for nb in nbs) > cap:
-                raise BudgetError(f"tree search outgrew the element budget ({budget + 1} > {budget})")
-            for nb in nbs:
-                if nb not in seen:
-                    seen[nb] = depth
-                    grown.append(nb)
-                    d_other = other.get(nb)
-                    if d_other is not None:
-                        total = depth + d_other
-                        best = total if best is None else min(best, total)
-        if best is not None:
-            return best
-        if seen is side_a:
-            frontier_a = grown
-        else:
-            frontier_b = grown
-    raise RuntimeError("frontiers died out; the truncated tree is connected, so this is a bug")
+    neighbors = _tree_neighbors(values, u.side is TreeSide.PLUS)
+    ball = {(u.level, u.tail): 0}
+    ball_frontier, radius, dists = list(ball), 0, []
+    try:
+        for left, v in zip(range(len(targets), 0, -1), targets):
+            key = (v.level, v.tail)
+            d = ball.get(key)
+            side, frontier, depth = {key: 0}, [key], 0
+            while d is None:
+                if len(ball_frontier) <= left * len(frontier) and (
+                    left == 1 or len(ball) + len(ball_frontier) * (1 + len(values)) < _SHARED_BALL_CAP
+                ):
+                    radius += 1
+                    ball_frontier = _grow(ball, ball_frontier, radius, neighbors, budget, len(side))
+                    met = not side.keys().isdisjoint(ball_frontier)
+                else:
+                    depth += 1
+                    frontier = _grow(side, frontier, depth, neighbors, budget, len(ball))
+                    met = not ball.keys().isdisjoint(frontier)
+                if met:
+                    d = radius + depth
+            dists.append(d)
+    except BudgetError as err:
+        raise BudgetError(f"tree search outgrew the element budget {err}") from None
+    return dists
 
 
 def _factor_costs_pth(spec: GroupSpec, values, p: int, h_mode: str) -> dict[int, int]:

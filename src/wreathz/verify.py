@@ -30,12 +30,16 @@ from .embeddings import (
     cocycle,
     gamma_action_on_sum,
     iota,
+    lipschitz_constants,
     sigma,
     weighted_tree_embed,
 )
-from .oracles import _ball_sizes, cayley_bfs, properness_check, properness_cross_check, tree_bfs_dist
+from .oracles import (
+    _ball_sizes, _tree_neighbors, cayley_bfs, properness_check, properness_cross_check, tree_bfs_dists
+)
 from .trees import (
     TreeSide,
+    TreeVertex,
     act,
     base_vertex,
     dist,
@@ -252,19 +256,6 @@ def check_length_sandwich(cfg: VerifyConfig):
     return True, f"both sandwiches on all {len(lengths)} elements of the radius-8 ball"
 
 
-def _tree_distance(x: WreathElement, side: TreeSide, value_radius: int) -> int | None:
-    """The closed-form distance of x's vertex from the base vertex when the
-    geodesic, `dist` and the truncated tree BFS all agree with it, else None."""
-    closed = dist_from_base(x, side)
-    base = base_vertex(x.spec, side)
-    v = vertex_of(x, side)
-    path = geodesic(base, v)
-    agree = path[0] == base and path[-1] == v
-    if agree and closed == len(path) - 1 == dist(base, v) == tree_bfs_dist(base, v, value_radius):
-        return closed
-    return None
-
-
 def check_tree_distances(cfg: VerifyConfig):
     def exhaustive(spec):
         values = [v for v in spec.ball(1) if v]
@@ -274,24 +265,28 @@ def check_tree_distances(cfg: VerifyConfig):
                 yield WreathElement(spec, lamps, n)
 
     rng = random.Random(cfg.seed + 2)
-    randomized = (random_element(INTEGERS, rng) for _ in range(cfg.random_tree_checks))
     families = (
-        ("Z/2", exhaustive(cyclic(2)), 1),
-        ("Z/3", exhaustive(cyclic(3)), 1),
-        ("Z-lamp", randomized, 2),
+        ("Z/2", cyclic(2), list(exhaustive(cyclic(2))), 1),
+        ("Z/3", cyclic(3), list(exhaustive(cyclic(3))), 1),
+        ("Z-lamp", INTEGERS, [random_element(INTEGERS, rng) for _ in range(cfg.random_tree_checks)], 2),
     )
     rows_hit = set()
-    checked = 0
-    for label, family, value_radius in families:
-        for x in family:
-            dp, dm = (_tree_distance(x, side, value_radius) for side in TreeSide)
-            if dp is None or dm is None:
-                return False, f"{label} triple fails at {format_element(x)}"
-            if not _travel_sandwiched(x, dp, dm, rows_hit):
+    for label, spec, family, value_radius in families:
+        bases = {side: base_vertex(spec, side) for side in TreeSide}
+        vertices = {side: [vertex_of(x, side) for x in family] for side in TreeSide}
+        bfs = {side: tree_bfs_dists(bases[side], vertices[side], value_radius) for side in TreeSide}
+        for i, x in enumerate(family):
+            closed = [dist_from_base(x, side) for side in TreeSide]
+            for side, d in zip(TreeSide, closed):
+                base, v = bases[side], vertices[side][i]
+                path = geodesic(base, v)
+                if not (path[0] == base and path[-1] == v and d == len(path) - 1 == dist(base, v) == bfs[side][i]):
+                    return False, f"{label} triple fails at {format_element(x)}"
+            if not _travel_sandwiched(x, *closed, rows_hit):
                 return False, f"{label} travel sandwich fails at {format_element(x)}"
-            checked += 1
     if rows_hit != set(range(8)):
         return False, f"only table regions {sorted(rows_hit)} exercised"
+    checked = sum(len(family) for _, _, family, _ in families)
     return True, (
         f"closed form = geodesic = BFS on both trees and travel sandwich on {checked} "
         f"elements (exhaustive Z/2 + Z/3, {cfg.random_tree_checks} random Z-lamp), "
@@ -384,30 +379,32 @@ def check_weighted_embedding(cfg: VerifyConfig):
     rng = random.Random(cfg.seed + 6)
     spec = cyclic(2)
     base = base_vertex(spec, TreeSide.PLUS)
-    worst_upper = 0.0
-    fitted_lower = {Fraction(1, 4): float("inf"), Fraction(1, 2): float("inf")}
+    quarter = Fraction(1, 4)
+    lipschitz = lipschitz_constants(spec, TreeMode.guka(quarter), H_DIRAC_SIMPLEX)[0]
+    worst_step = 0.0
+    fitted_lower = {quarter: float("inf"), Fraction(1, 2): float("inf")}
     pairs = 0
     while pairs < 150:
-        lamps = tuple(
-            sorted({(rng.randint(-60, 60), 1) for _ in range(rng.randint(0, 4))})
-        )
+        lamps = tuple(sorted({(rng.randint(-60, 60), 1) for _ in range(rng.randint(0, 4))}))
         x = WreathElement(spec, lamps, rng.randint(-90, 90))
         u = vertex_of(x, TreeSide.PLUS)
         d = dist(base, u)
         if not 1 <= d <= 200:
             continue
         pairs += 1
+        nb = TreeVertex(spec, TreeSide.PLUS, *rng.choice(_tree_neighbors((1,), True)((u.level, u.tail))))
+        step = weighted_tree_embed(u, base, quarter) - weighted_tree_embed(nb, base, quarter)
+        worst_step = max(worst_step, step.norm())
         for eps in fitted_lower:
-            gap = (weighted_tree_embed(u, base, eps) - weighted_tree_embed(base, base, eps)).norm()
-            worst_upper = max(worst_upper, gap / d)
+            gap = weighted_tree_embed(u, base, eps).norm()  # the base embeds at 0
             fitted_lower[eps] = min(fitted_lower[eps], gap / d ** (0.5 + float(eps)))
-    if worst_upper > 2.0:
-        return False, f"upper ratio {worst_upper:.3f} exceeds 2"
+    if worst_step > lipschitz:
+        return False, f"edge step {worst_step:.4f} exceeds the Lipschitz constant {lipschitz}"
     if min(fitted_lower.values()) <= 0:
         return False, "no positive lower constant"
     return True, (
-        f"ratios on {pairs} pairs, d <= 200: upper {worst_upper:.3f} <= 2, "
-        f"lower constants {min(fitted_lower.values()):.3f} > 0"
+        f"{pairs} random edges at eps 1/4: steps <= {worst_step:.4f} <= Lipschitz {lipschitz}; "
+        f"lower constants from the base at d <= 200 {min(fitted_lower.values()):.3f} > 0"
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wreathz import (
     INTEGERS,
+    DistortionSample,
     H_DIRAC_SIMPLEX,
     H_IDENTITY_LINE,
     SparseVector,
@@ -29,9 +30,9 @@ from wreathz import (
     vertex_of,
     weighted_tree_embed,
 )
+from wreathz.compression import audit_injectivity_gap
 from wreathz.embeddings import (
     identity_distance_squared,
-    injectivity_gap,
     lamp_component,
     lamp_displacement,
     lipschitz_constants,
@@ -357,8 +358,6 @@ def test_lipschitz_constants_and_gap():
     assert lipschitz_constants(Z2, TreeMode.guka(Fraction(2, 5)), H_DIRAC_SIMPLEX) == (1.341, 1.341, 1.0)
     with pytest.raises(ValueError, match="diverges"):
         lipschitz_constants(INTEGERS, TreeMode.guka(Fraction(1, 2)), H_IDENTITY_LINE)
-    assert injectivity_gap(Z2, COCYCLE, H_DIRAC_SIMPLEX) == 1.0
-    assert injectivity_gap(INTEGERS, COCYCLE, H_IDENTITY_LINE) == 1.0
 
 
 def test_weighted_step_bound_covers_the_edge_steps():
@@ -375,11 +374,12 @@ def test_weighted_step_bound_covers_the_edge_steps():
 def test_sigma_lipschitz_and_gap_small_sample():
     rng = random.Random(29)
     c = sum(lipschitz_constants(Z2, COCYCLE, H_DIRAC_SIMPLEX))
-    gap = injectivity_gap(Z2, COCYCLE, H_DIRAC_SIMPLEX)
+    samples = []
     for _ in range(200):
         x, y = random_element(Z2, rng), random_element(Z2, rng)
         d = embedded_distance(x, y, COCYCLE, H_DIRAC_SIMPLEX)
         word = (x.inverse() * y).word_length()
         assert d <= c * word + 1e-12
-        if x != y:
-            assert d >= gap - 1e-12
+        samples.append(DistortionSample(word, d, "cocycle", H_DIRAC_SIMPLEX))
+    assert sum(s.word_length >= 1 for s in samples) > 150
+    assert audit_injectivity_gap(samples, Z2, COCYCLE, H_DIRAC_SIMPLEX) == []

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathz import (
     INTEGERS,
@@ -19,8 +21,10 @@ from wreathz import (
     properness_check,
     properness_cross_check,
     tree_bfs_dist,
+    tree_bfs_dists,
     vertex_of,
 )
+from wreathz import oracles
 from wreathz.oracles import (
     _factor_costs_pth,
     _members_within,
@@ -220,6 +224,80 @@ def test_tree_bfs_matches_dist_random():
             u = vertex_of(random_element(spec, rng), side)
             v = vertex_of(random_element(spec, rng), side)
             assert tree_bfs_dist(u, v, vrad) == dist(u, v)
+
+
+# (base group, value radius) pairs the batch tree search is checked on
+TREE_SPECS = ((Z2, 1), (cyclic(3), 1), (cyclic(5), 2), (INTEGERS, 2))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    st.sampled_from(TREE_SPECS),
+    st.sampled_from(list(TreeSide)),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+)
+def test_tree_bfs_dists_match_dist(case, side, seed, count):
+    # the source is a random vertex, usually off the base; the targets
+    # include the source itself and a repeat
+    spec, vrad = case
+    rng = random.Random(seed)
+    u, *targets = (vertex_of(random_element(spec, rng, 2, 3, vrad), side) for _ in range(count + 1))
+    targets += [u, targets[0]]
+    rng.shuffle(targets)
+    assert tree_bfs_dists(u, targets, vrad) == [dist(u, t) for t in targets]
+
+
+def test_tree_bfs_dist_is_the_one_target_batch():
+    rng = random.Random(37)
+    for spec, vrad in TREE_SPECS:
+        for _ in range(20):
+            side = rng.choice(list(TreeSide))
+            u, v = (vertex_of(random_element(spec, rng, 2, 3, vrad), side) for _ in range(2))
+            assert tree_bfs_dist(u, v, vrad) == tree_bfs_dists(u, [v], vrad)[0] == dist(u, v)
+
+
+def test_tree_bfs_dists_budget_counts_the_shared_ball():
+    # three targets let the shared ball grow first: its first layer fits
+    # beside the first target, its second does not
+    b = base_vertex(Z2, TreeSide.PLUS)
+    targets = [vertex_of(el(Z2, {-2: 1, 1: 1}, 3), TreeSide.PLUS)] * 3
+    with pytest.raises(BudgetError, match=r"\(6 > 5\)"):
+        tree_bfs_dists(b, targets, 1, budget=5)
+    # as for one target, every budget below the peak fails and every budget
+    # from it on gives the distances
+    outcomes = []
+    for budget in range(1, 200):
+        try:
+            outcomes.append(tree_bfs_dists(b, targets, 1, budget=budget))
+        except BudgetError as err:
+            assert f"({budget + 1} > {budget})" in str(err)
+            outcomes.append(None)
+    need = outcomes.index([dist(b, targets[0])] * 3) + 1
+    assert 6 < need < 200
+    assert outcomes[need - 1 :] == [outcomes[need - 1]] * (200 - need)
+    assert outcomes[: need - 1] == [None] * (need - 1)
+
+
+def test_tree_bfs_dists_shared_ball_stops_at_the_vertex_cap(monkeypatch):
+    # with the cap lowered, the shared ball stops short of it and the
+    # targets grow their own balls, so the batch fits a budget that a
+    # shared ball grown without the cap would outgrow
+    monkeypatch.setattr(oracles, "_SHARED_BALL_CAP", 1000)
+    rng = random.Random(41)
+    b = base_vertex(Z2, TreeSide.PLUS)
+    targets = [vertex_of(random_element(Z2, rng, 5, 6, 1), TreeSide.PLUS) for _ in range(300)]
+    assert tree_bfs_dists(b, targets, 1, budget=2000) == [dist(b, t) for t in targets]
+
+
+def test_budget_is_validated_before_any_early_return():
+    b = base_vertex(Z2, TreeSide.PLUS)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        tree_bfs_dist(b, b, 1, budget=0)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        tree_bfs_dists(b, [], 1, budget=0)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        cayley_bfs(Z2, 0, budget=0)
 
 
 def test_factor_cost():

@@ -19,7 +19,7 @@ from wreathz import (
     geom_edge,
     vertex_of,
 )
-from wreathz.oracles import _raw_tree_neighbors
+from wreathz.oracles import _tree_neighbors
 from wreathz.trees import _descent, meet_level, representative, spine_step
 from wreathz.verify import random_element, random_stabilizer_element
 
@@ -158,7 +158,7 @@ def test_neighbors_shape():
     values = [v for v in cyclic(3).ball(1) if v]
     for side in TreeSide:
         v = vertex_of(el(cyclic(3), {0: 1, 2: 2}, 1), side)
-        raw = _raw_tree_neighbors((v.level, v.tail), values, side is TreeSide.PLUS)
+        raw = _tree_neighbors(values, side is TreeSide.PLUS)((v.level, v.tail))
         nbs = [TreeVertex(v.spec, side, level, tail) for level, tail in raw]
         assert len(nbs) == len(values) + 2  # one spine-ward, |values|+1 outward
         assert len(set(nbs)) == len(nbs)
@@ -187,7 +187,7 @@ def truncated_vertices(draw):
 def test_raw_neighbors_step_back_through_spine_step(case):
     v, values = case
     plus = v.side is PLUS
-    spine_ward, *outward = _raw_tree_neighbors((v.level, v.tail), values, plus)
+    spine_ward, *outward = _tree_neighbors(values, plus)((v.level, v.tail))
     assert spine_ward == spine_step(v.level, v.tail, plus)
     assert len(outward) == len(values) + 1
     for level, tail in outward:

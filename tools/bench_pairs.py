@@ -14,6 +14,15 @@ number of pairs the change wins (ties count for neither side) and the
 median's relative change against the metric's bound in BENCHMARK.json.
 Running the script again with another workload adds that workload to the
 same file; running it with a workload already there replaces that entry.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --name NAME \
+        --command "SHELL COMMAND" --pairs 5 --out BENCH_<n>.json
+
+times one shell command instead, run from the root of each checkout, in
+the same alternating pairs. Its entry under the `commands` key holds every
+run's wall time, peak RSS (of the command and its children), exit code and
+last output line, and for wall time and peak RSS each side's median and
+quartiles, the change's wins and the median's relative change.
 Standard library only.
 """
 
@@ -22,9 +31,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 
@@ -70,6 +82,24 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def time_command(checkout: Path, command: str) -> dict:
+    """One run of a shell command from the checkout's root: wall time, peak
+    RSS of the command and its children, exit code and last output line."""
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen(command, shell=True, cwd=checkout, stdout=out, stderr=subprocess.STDOUT)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        lines = out.read().decode(errors="replace").strip().splitlines()
+    return {
+        "metrics": {"wall_s": seconds, "peak_rss_mb": usage.ru_maxrss / 1024},
+        "returncode": proc.returncode,
+        "last_line": lines[-1] if lines else "",
+    }
+
+
 def summarize(values: list[float]) -> dict:
     if len(values) > 1:
         q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -105,52 +135,84 @@ def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    p.add_argument("--change", required=True, type=Path, help="checkout of the change")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, type=int, nargs="+")
-    p.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write or extend")
-    args = p.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for side, checkout in sides.items():
-        if not (checkout / "perfbench" / "run.py").is_file():
-            p.error(f"--{side} {checkout} has no perfbench/run.py")
-    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    seconds = bench["run_seconds"]
+# The command mode's metrics, in the shape of BENCHMARK.json's end_to_end
+# entries; a command has no bound of its own.
+COMMAND_METRICS = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": None},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": None},
+]
 
-    doc = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": {}}
-    entry = doc["workloads"][args.workload] = {
-        "command": f"python3 perfbench/run.py --workload {args.workload} --seed S --seconds {seconds} --trace 0",
-        "sides": {
-            side: {"git_head": git_head(checkout), "src_sha256": src_digest(checkout)}
-            for side, checkout in sides.items()
-        },
-    }
+
+def run_pairs(
+    sides: dict, key: str, labels: list, run, out: Path, doc: dict, entry: dict, metrics: list[dict]
+) -> None:
+    """Run `run(checkout, label)` once per side for each label, recorded
+    under `key`, alternating which side goes first; rewrite `out` after
+    every pair, so an interrupted set keeps its runs."""
     pairs = entry["pairs"] = []
-    for i, seed in enumerate(args.seeds):
+    for i, label in enumerate(labels):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
+        pair = {key: label, "first": order[0]}
         for side in order:
-            pair[side] = run_once(sides[side], args.workload, seed, seconds)
-        pair["same_digest"] = pair["parent"]["output_digest"] == pair["change"]["output_digest"]
+            pair[side] = run(sides[side], label)
         pairs.append(pair)
-        print(f"seed {seed} ({order[0]} first): " + ", ".join(
+        print(f"{key} {label} ({order[0]} first): " + ", ".join(
             f"{name} {pair['parent']['metrics'][name]:.4g} -> {pair['change']['metrics'][name]:.4g}"
             for name in pair["parent"]["metrics"]
         ), flush=True)
-        # Rewritten after every pair, so an interrupted set keeps its runs.
-        entry["failed_ops"] = {side: sum(pr[side]["failed"] for pr in pairs) for side in sides}
-        entry["digests_identical"] = all(pr["same_digest"] for pr in pairs)
-        entry["summary"] = compare(pairs, bench["end_to_end"])
-        args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        entry["summary"] = compare(pairs, metrics)
+        if "output_digest" in pair["parent"]:
+            pair["same_digest"] = pair["parent"]["output_digest"] == pair["change"]["output_digest"]
+            entry["failed_ops"] = {side: sum(pr[side]["failed"] for pr in pairs) for side in sides}
+            entry["digests_identical"] = all(pr["same_digest"] for pr in pairs)
+        out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, s in entry["summary"].items():
         print(
             f"{name}: median {s['parent']['median']:.4g} [{s['parent']['q1']:.4g}, {s['parent']['q3']:.4g}]"
             f" -> {s['change']['median']:.4g} [{s['change']['q1']:.4g}, {s['change']['q3']:.4g}],"
             f" change wins {s['change_wins']}/{s['pairs']}"
         )
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    p.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", help="benchmark workload to run")
+    mode.add_argument("--command", help="shell command to time instead")
+    p.add_argument("--seeds", type=int, nargs="+", help="one pair per seed (--workload)")
+    p.add_argument("--name", help="entry name under `commands` (--command)")
+    p.add_argument("--pairs", type=int, help="number of pairs (--command)")
+    p.add_argument("--out", required=True, type=Path, help="BENCH_<n>.json to write or extend")
+    args = p.parse_args(argv)
+    if args.workload and not args.seeds:
+        p.error("--workload needs --seeds")
+    if args.command and not (args.name and args.pairs and args.pairs >= 1):
+        p.error("--command needs --name and --pairs >= 1")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in sides.items():
+        if not (checkout / "perfbench" / "run.py").is_file():
+            p.error(f"--{side} {checkout} has no perfbench/run.py")
+    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": {}}
+    checkouts = {
+        side: {"git_head": git_head(checkout), "src_sha256": src_digest(checkout)}
+        for side, checkout in sides.items()
+    }
+
+    if args.command:
+        entry = doc.setdefault("commands", {})[args.name] = {"command": args.command, "sides": checkouts}
+        run_pairs(sides, "run", list(range(1, args.pairs + 1)), lambda checkout, _: time_command(checkout, args.command),
+                  args.out, doc, entry, COMMAND_METRICS)
+        return 0
+    entry = doc["workloads"][args.workload] = {
+        "command": f"python3 perfbench/run.py --workload {args.workload} --seed S --seconds {seconds} --trace 0",
+        "sides": checkouts,
+    }
+    run_pairs(sides, "seed", args.seeds, lambda checkout, seed: run_once(checkout, args.workload, seed, seconds),
+              args.out, doc, entry, bench["end_to_end"])
     return 0
 
 
