@@ -162,10 +162,10 @@ def tree_bfs_dists(
     A ball around u is shared across the targets; each target outside it
     grows its own ball until a new layer of either meets the other.  Both are
     complete balls, disjoint one layer before, so the distance is the sum of
-    their radii.  The shared ball grows while its
-    frontier is at most `left` (targets to do) times the target's and, with
-    more than one left, its next layer stays under `_SHARED_BALL_CAP`.  The
-    budget caps the shared ball and the current target's ball together."""
+    their radii.  The shared ball grows while its frontier is at most `left`
+    (targets to do) times the target's and, with more than one left, its
+    next layer stays under `_SHARED_BALL_CAP`.  The budget caps the shared
+    ball and the current target's ball together."""
     if value_radius < 0:
         raise ValueError(f"value_radius must be >= 0, got {value_radius}")
     values = tuple(filter(None, u.spec.ball(value_radius)))

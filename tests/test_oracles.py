@@ -208,6 +208,16 @@ def test_tree_bfs_budget_threshold_is_sharp():
     assert set(outcomes[need - 1 :]) == {dist(b, target)}
 
 
+def test_tree_bfs_budget_counts_every_stored_vertex():
+    # base to a neighbour on Z/2: both start balls (2 vertices), then the
+    # base's whole first layer (3 vertices) is stored before the hit counts
+    b = base_vertex(Z2, TreeSide.PLUS)
+    v = vertex_of(el(Z2, {}, 1), TreeSide.PLUS)
+    assert tree_bfs_dist(b, v, 1, budget=5) == 1
+    with pytest.raises(BudgetError, match=r"\(5 > 4\)"):
+        tree_bfs_dist(b, v, 1, budget=4)
+
+
 def test_tree_bfs_rejects_negative_value_radius():
     b = base_vertex(Z2, TreeSide.PLUS)
     with pytest.raises(ValueError, match="value_radius must be >= 0"):
