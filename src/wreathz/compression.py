@@ -60,8 +60,9 @@ def _move_mask(move: int) -> bytes:
     return bytes(b == move for b in range(256))
 
 
-# signed shift of each move: 0 steps right, 1 steps left, lamp moves stay
-_SHIFT_STEP = (1, -1) + (0,) * 254
+# `bytes.translate` table of each move's step as a signed byte: 0 steps right
+# (1), 1 steps left (0xFF, i.e. -1), lamp moves stay (0)
+_SHIFT_STEP = bytes((1, 0xFF)) + bytes(254)
 
 
 def _draw_moves(rng: random.Random, moves: int, length: int) -> bytes:
@@ -88,22 +89,21 @@ def _random_word(spec: GroupSpec, rng: random.Random, length: int) -> WreathElem
     Move j is the j-th value `rng.randrange(moves)` would return: 0 shifts
     right, 1 shifts left, and 2 + i multiplies the lamp at the current
     position by `spec.generator_values()[i]`.  The moves are drawn in bulk,
-    which leaves `rng` overdrawn.  The walk relies on H being abelian: a
-    lamp's final value is then the sum of the values applied at its
-    position, i.e. each lamp generator's per-position use count times its
-    value.
+    which leaves `rng` overdrawn.  The walk relies on H being abelian and on
+    the generator values being 1 and -1 (mod k): a lamp's final value is then
+    its position's count of move 2 minus its count of move 3.
     """
     lamp_values = spec.generator_values()
     moves = _draw_moves(rng, len(lamp_values) + 2, length)
-    # positions[j] is the lamplighter's position before move j
-    positions = list(accumulate(map(_SHIFT_STEP.__getitem__, moves), initial=0))
-    totals: dict[int, int] = {}
-    for move, value in enumerate(lamp_values, start=2):
-        for pos, uses in Counter(compress(positions, moves.translate(_move_mask(move)))).items():
-            totals[pos] = totals.get(pos, 0) + uses * value
+    # positions[j] is the lamplighter's position before move j; the signed
+    # bytes are steps, the ints accumulated from them may leave [-128, 127]
+    positions = list(accumulate(memoryview(moves.translate(_SHIFT_STEP)).cast("b"), initial=0))
+    tally = Counter(compress(positions, moves.translate(_move_mask(2))))
+    if len(lamp_values) == 2:
+        tally.subtract(Counter(compress(positions, moves.translate(_move_mask(3)))))
     # a list, not a generator: tuple() of a generator resizes its result,
     # and in a long run such tuples pile up on CPython's tuple free lists
-    lamps = [(pos, v) for pos, v in zip(totals, map(spec.normalize, totals.values())) if v]
+    lamps = [(pos, v) for pos, v in zip(tally, map(spec.normalize, tally.values())) if v]
     lamps.sort()
     return WreathElement(spec, tuple(lamps), positions[-1])
 

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .basegroups import GroupSpec
 from .trees import TreeSide, TreeVertex, act, base_vertex, dist, dist_from_base, geodesic, vertex_of
@@ -153,6 +154,13 @@ def embedded_distance(x: WreathElement, y: WreathElement, tree_mode: TreeMode, h
     return (sigma(x, tree_mode, h_mode) - sigma(y, tree_mode, h_mode)).norm()
 
 
+# Per weight exponent e2, the prefix sums of float(k) ** e2 over k >= 1, grown
+# on demand: entry d is what sum(float(k) ** e2 for k in range(1, d + 1))
+# returns, 0 (an int) included, because accumulate adds in order and so does
+# CPython 3.11's float `sum` (3.12+ compensates `sum`, which would differ).
+_WEIGHT_SUMS: dict[float, list] = {}
+
+
 def identity_distance_squared(x: WreathElement, tree_mode: TreeMode, h_mode: str):
     """|sigma(x) - sigma(identity)|^2 without materializing vectors.
 
@@ -166,8 +174,14 @@ def identity_distance_squared(x: WreathElement, tree_mode: TreeMode, h_mode: str
         total = dp + dm
     else:
         e2 = 2.0 * float(tree_mode.eps)
-        total = sum(float(k) ** e2 for k in range(1, dp + 1))
-        total += sum(float(k) ** e2 for k in range(1, dm + 1))
+        sums = _WEIGHT_SUMS.setdefault(e2, [0])
+        start = len(sums)
+        if start <= max(dp, dm):
+            # at least doubled; the popped last sum comes back as `initial`
+            stop = max(dp, dm, 2 * start - 1) + 1
+            sums += accumulate((float(k) ** e2 for k in range(start, stop)), initial=sums.pop())
+        total = sums[dp]
+        total += sums[dm]
     # lamp_displacement(value)^2 summed inline: this runs once per sample.
     if h_mode == H_IDENTITY_LINE:
         total += sum(v * v for _, v in x.lamps)

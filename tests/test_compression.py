@@ -22,7 +22,9 @@ from wreathz.compression import (
     audit_injectivity_gap,
     audit_lipschitz,
 )
-from wreathz.embeddings import embedded_distance, identity_distance_squared
+from wreathz import embeddings
+from wreathz.embeddings import embedded_distance, identity_distance_squared, lamp_displacement
+from wreathz.trees import TreeSide, base_vertex, dist, vertex_of
 from wreathz.wreath import WreathElement
 
 Z2 = cyclic(2)
@@ -51,12 +53,32 @@ def reference_random_word(spec, rng, length):
     return WreathElement(spec, tuple(sorted(lamps.items())), n)
 
 
+def reference_distance_squared(x, tree_mode, h_mode):
+    """|sigma(x)|^2 from the tree distances to the base vertices: d+ + d- in
+    cocycle mode, else each tree's weights float(k) ** (2 eps), k = 1..d,
+    added one at a time, the plain sequential sum."""
+    ds = [dist(vertex_of(x, side), base_vertex(x.spec, side)) for side in (TreeSide.PLUS, TreeSide.MINUS)]
+    if tree_mode.kind == "cocycle":
+        total = sum(ds)
+    else:
+        e2 = 2.0 * float(tree_mode.eps)
+        sides = []
+        for d in ds:
+            side = 0
+            for k in range(1, d + 1):
+                side += float(k) ** e2
+            sides.append(side)
+        total = sides[0]
+        total += sides[1]
+    return total + sum(lamp_displacement(x.spec, v, h_mode) ** 2 for _, v in x.lamps)
+
+
 def reference_sample_pairs(spec, tree_mode, h_mode, scale, count, seed):
     out = []
     for i in range(count):
         rng = random.Random(f"{seed}/{i}")
         y = reference_random_word(spec, rng, rng.randrange(scale + 1))
-        dist = math.sqrt(identity_distance_squared(y, tree_mode, h_mode))
+        dist = math.sqrt(reference_distance_squared(y, tree_mode, h_mode))
         out.append(DistortionSample(y.word_length(), dist, str(tree_mode), h_mode))
     return out
 
@@ -79,14 +101,41 @@ SAMPLER_CONFIGS = (
 )
 
 
-@pytest.mark.parametrize("spec, h_mode", SAMPLER_CONFIGS, ids=str)
+GUKA_QUARTER = TreeMode.guka(Fraction(1, 4))
+
+
+@pytest.mark.parametrize(
+    "spec, tree_mode, h_mode",
+    [pytest.param(spec, COCYCLE, h_mode, id=f"{spec}-{h_mode}") for spec, h_mode in SAMPLER_CONFIGS]
+    + [
+        pytest.param(spec, tree_mode, h_mode, id=f"{spec}-{tree_mode}-{h_mode}")
+        for spec, tree_mode, h_mode in (
+            (INTEGERS, GUKA_QUARTER, H_IDENTITY_LINE),
+            (Z2, TreeMode.guka(Fraction(2, 5)), H_DIRAC_SIMPLEX),
+            (INTEGERS, TreeMode.guka(Fraction(1, 2)), H_IDENTITY_LINE),
+        )
+    ],
+)
 @pytest.mark.parametrize("scale", [0, 1, 3, 1000])
-def test_sample_pairs_equal_per_step_reference(spec, h_mode, scale):
-    got = sample_pairs(spec, COCYCLE, h_mode, scale, 1000, 977)
-    assert got == reference_sample_pairs(spec, COCYCLE, h_mode, scale, 1000, 977)
+def test_sample_pairs_equal_per_step_reference(spec, tree_mode, h_mode, scale):
+    got = sample_pairs(spec, tree_mode, h_mode, scale, 1000, 977)
+    assert got == reference_sample_pairs(spec, tree_mode, h_mode, scale, 1000, 977)
 
 
-@pytest.mark.parametrize("spec", [s for s, _ in SAMPLER_CONFIGS] + [cyclic(5)], ids=str)
+def test_guka_distance_past_the_first_weight_table(monkeypatch):
+    # a fresh table: the first call sizes it, the second must grow it
+    monkeypatch.setattr(embeddings, "_WEIGHT_SUMS", {})
+    near = WreathElement(INTEGERS, ((0, 1),), 3)
+    far = WreathElement(INTEGERS, ((-40, 2), (700, -1)), -90)
+    for tree_mode in (GUKA_QUARTER, TreeMode.guka(Fraction(1, 2))):
+        for x in (near, far, near):
+            assert identity_distance_squared(x, tree_mode, H_IDENTITY_LINE) == reference_distance_squared(
+                x, tree_mode, H_IDENTITY_LINE
+            )
+    assert identity_distance_squared(WreathElement.identity(INTEGERS), GUKA_QUARTER, H_IDENTITY_LINE) == 0
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in SAMPLER_CONFIGS] + [cyclic(4), cyclic(5)], ids=str)
 def test_random_word_equals_reference_across_refills(spec):
     assert _random_word(spec, CountingRandom(1), 0) == WreathElement.identity(spec)
     refilled = 0
@@ -97,6 +146,51 @@ def test_random_word_equals_reference_across_refills(spec):
         refilled += rng.bulk_draws > 1
     # the first bulk draw falls short often enough that the refill path runs
     assert refilled >= 10
+
+
+class ConstantRandom(random.Random):
+    """Random whose every 32-bit output is `word`, so every move a walk
+    draws is the one `word`'s top bits decode to."""
+
+    def __init__(self, word):
+        super().__init__(0)
+        self.word = word
+
+    def getrandbits(self, k):
+        words = -(-k // 32)
+        return int.from_bytes(self.word.to_bytes(4, "little") * words, "little") >> (32 * words - k)
+
+
+@pytest.mark.parametrize("word, shift", [(0x40000000, -1000), (0x00000000, 1000)])
+def test_one_sided_walk_leaves_the_signed_byte_range(word, shift):
+    # three moves keep the top two bits: 01 is move 1 (left), 00 move 0 (right);
+    # the signed bytes hold steps, the positions pass -128 and 127
+    assert ConstantRandom(word).randrange(3) == (shift < 0)
+    assert _random_word(Z2, ConstantRandom(word), 1000) == WreathElement(Z2, (), shift)
+    assert reference_random_word(Z2, ConstantRandom(word), 1000) == WreathElement(Z2, (), shift)
+
+
+AUDIT_CONFIGS = (
+    (Z2, H_DIRAC_SIMPLEX),
+    (cyclic(3), H_DIRAC_SIMPLEX),
+    (cyclic(5), H_DIRAC_SIMPLEX),
+    (INTEGERS, H_IDENTITY_LINE),
+)
+
+
+@pytest.mark.parametrize("spec, h_mode", AUDIT_CONFIGS, ids=str)
+def test_squared_distance_bounds_word_length_exactly(spec, h_mode):
+    # ||sigma(x)||^2 >= |x| in every mode, compared before any square root:
+    # an exact int in cocycle mode, a float against an int in guka mode
+    guka = [TreeMode.guka(Fraction(e)) for e in ("1/4", "2/5", "1/2")]
+    for i in range(300):
+        rng = random.Random(f"audit/{i}")
+        x = _random_word(spec, rng, rng.randrange(401))
+        wl = x.word_length()
+        exact = identity_distance_squared(x, COCYCLE, h_mode)
+        assert type(exact) is int and exact >= wl
+        for tree_mode in guka:
+            assert identity_distance_squared(x, tree_mode, h_mode) >= wl
 
 
 def test_single_zero_length_sample():
