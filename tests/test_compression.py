@@ -68,8 +68,7 @@ def reference_distance_squared(x, tree_mode, h_mode):
             for k in range(1, d + 1):
                 side += float(k) ** e2
             sides.append(side)
-        total = sides[0]
-        total += sides[1]
+        total = sides[0] + sides[1]
     return total + sum(lamp_displacement(x.spec, v, h_mode) ** 2 for _, v in x.lamps)
 
 
@@ -132,7 +131,8 @@ def test_guka_distance_past_the_first_weight_table(monkeypatch):
             assert identity_distance_squared(x, tree_mode, H_IDENTITY_LINE) == reference_distance_squared(
                 x, tree_mode, H_IDENTITY_LINE
             )
-    assert identity_distance_squared(WreathElement.identity(INTEGERS), GUKA_QUARTER, H_IDENTITY_LINE) == 0
+    # entry 0 is the int 0, as the old empty float sum was
+    assert type(identity_distance_squared(WreathElement.identity(INTEGERS), GUKA_QUARTER, H_IDENTITY_LINE)) is int
 
 
 @pytest.mark.parametrize("spec", [s for s, _ in SAMPLER_CONFIGS] + [cyclic(4), cyclic(5)], ids=str)
@@ -170,15 +170,7 @@ def test_one_sided_walk_leaves_the_signed_byte_range(word, shift):
     assert reference_random_word(Z2, ConstantRandom(word), 1000) == WreathElement(Z2, (), shift)
 
 
-AUDIT_CONFIGS = (
-    (Z2, H_DIRAC_SIMPLEX),
-    (cyclic(3), H_DIRAC_SIMPLEX),
-    (cyclic(5), H_DIRAC_SIMPLEX),
-    (INTEGERS, H_IDENTITY_LINE),
-)
-
-
-@pytest.mark.parametrize("spec, h_mode", AUDIT_CONFIGS, ids=str)
+@pytest.mark.parametrize("spec, h_mode", SAMPLER_CONFIGS + ((cyclic(5), H_DIRAC_SIMPLEX),), ids=str)
 def test_squared_distance_bounds_word_length_exactly(spec, h_mode):
     # ||sigma(x)||^2 >= |x| in every mode, compared before any square root:
     # an exact int in cocycle mode, a float against an int in guka mode
