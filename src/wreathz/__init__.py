@@ -28,10 +28,9 @@ from .embeddings import (
     weighted_tree_embed,
 )
 from .oracles import (
-    BallReport,
     BudgetError,
     PropernessReport,
-    ball_reports,
+    ball_sizes,
     cayley_bfs,
     properness_check,
     properness_cross_check,
@@ -51,7 +50,6 @@ from .trees import (
 )
 from .vectors import GeomEdge, LampCoord, SignedEdge, SparseVector, geom_edge
 from .wreath import (
-    SupportStats,
     WreathElement,
     format_element,
     parse_element,
@@ -63,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "INTEGERS",
     "AffineMap",
-    "BallReport",
     "BoundSet",
     "BudgetError",
     "DistortionSample",
@@ -77,14 +74,13 @@ __all__ = [
     "PropernessReport",
     "SignedEdge",
     "SparseVector",
-    "SupportStats",
     "TreeMode",
     "TreeSide",
     "TreeVertex",
     "WreathElement",
     "act",
     "affine_alpha",
-    "ball_reports",
+    "ball_sizes",
     "base_vertex",
     "bounds",
     "cayley_bfs",

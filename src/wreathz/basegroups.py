@@ -9,11 +9,7 @@ operations on those raw values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
-
-# Cyclic orders up to this size measure lamp costs through a lookup table.
-LENGTH_TABLE_MAX_ORDER = 1 << 16
 
 _value = itemgetter(1)
 
@@ -44,10 +40,6 @@ class GroupSpec:
     def is_finite(self) -> bool:
         return self.order is not None
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def normalize(self, value: int) -> int:
         return value % self.order if self.order else value
 
@@ -63,12 +55,6 @@ class GroupSpec:
         a %= self.order
         return min(a, self.order - a)
 
-    @cached_property
-    def _length_table(self) -> tuple[int, ...]:
-        """Word length indexed by canonical value, for small cyclic orders."""
-        k = self.order
-        return tuple(min(v, k - v) for v in range(k))
-
     def lamp_cost(self, lamps) -> int:
         """Total word length of the values of a canonical lamp configuration
         ((position, value) pairs with normalized, non-identity values)."""
@@ -78,8 +64,6 @@ class GroupSpec:
         if order < 4:
             # Diameter 1 (Z/2, Z/3): every non-identity value has length 1.
             return len(lamps)
-        if order <= LENGTH_TABLE_MAX_ORDER:
-            return sum(map(self._length_table.__getitem__, map(_value, lamps)))
         return sum(map(self.word_length, map(_value, lamps)))
 
     def generator_values(self) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .basegroups import ParseError, parse_group
 from .compression import bounds, fit_envelope, lower_envelope, sample_pairs
 from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, H_MODES, TreeMode, sigma
-from .oracles import BudgetError, ball_reports, properness_check
+from .oracles import BudgetError, ball_sizes, cayley_bfs, properness_check
 from .trees import TreeSide, dist_from_base, format_vertex, vertex_of
 from .vectors import format_value
 from .verify import VerifyConfig, run_suites
@@ -123,14 +123,14 @@ def _cmd_embed(args) -> int:
 
 def _cmd_ball(args) -> int:
     spec = parse_group(args.group)
-    reports = ball_reports(spec, args.radius, budget=args.budget)
+    sizes = enumerate(ball_sizes(cayley_bfs(spec, args.radius, args.budget), args.radius))
     if args.format == "csv":
         print("radius,count")
-        for rep in reports:
-            print(f"{rep.radius},{rep.count}")
+        for r, count in sizes:
+            print(f"{r},{count}")
     else:
-        for rep in reports:
-            print(f"radius {rep.radius}: {rep.count} elements")
+        for r, count in sizes:
+            print(f"radius {r}: {count} elements")
     return 0
 
 

@@ -83,9 +83,7 @@ def validate_h_mode(spec: GroupSpec, h_mode: str):
 def weighted_tree_embed(v: TreeVertex, base: TreeVertex, eps) -> SparseVector:
     """Sum of k^eps charges on the geodesic edges from v to base, k = 1 at
     the edge adjacent to v.  Weights are irrational, so values are floats."""
-    eps = Fraction(eps)
-    if not 0 < eps <= Fraction(1, 2):
-        raise ValueError(f"weight exponent must lie in (0, 1/2], got {eps}")
+    eps = TreeMode.guka(eps).eps
     path = geodesic(v, base)
     e = float(eps)
     return SparseVector(

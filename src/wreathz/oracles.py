@@ -104,25 +104,11 @@ def cayley_bfs(
     return {WreathElement(spec, lamps, n): d for (lamps, n), d in found.items()}
 
 
-def _ball_sizes(lengths: dict[WreathElement, int], radius: int) -> list[int]:
+def ball_sizes(lengths: dict[WreathElement, int], radius: int) -> list[int]:
     """Cumulative ball sizes for radii 0..radius from a `cayley_bfs` result,
     counting each layer once."""
     layers = Counter(lengths.values())
     return list(accumulate(layers[r] for r in range(radius + 1)))
-
-
-@dataclass(frozen=True)
-class BallReport:
-    """Cumulative ball size at one radius."""
-
-    radius: int
-    count: int
-
-
-def ball_reports(spec: GroupSpec, radius_cap: int, budget: int | None = None) -> list[BallReport]:
-    """Ball sizes for radii 0..radius_cap."""
-    lengths = cayley_bfs(spec, radius_cap, budget)
-    return [BallReport(r, size) for r, size in enumerate(_ball_sizes(lengths, radius_cap))]
 
 
 def _tree_neighbors(values, plus_side: bool):
@@ -285,9 +271,7 @@ def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int, h_mode: 
 
 
 def _value_ball(spec: GroupSpec, radius: Fraction, h_mode: str) -> tuple[int, ...]:
-    r = int(radius)
-    values = spec.ball(r) if spec.is_finite else range(-r, r + 1)
-    return tuple(v for v in values if v and lamp_displacement(spec, v, h_mode) <= radius)
+    return tuple(v for v in spec.ball(int(radius)) if v and lamp_displacement(spec, v, h_mode) <= radius)
 
 
 def _superset_members(spec: GroupSpec, radius: Fraction, limit: int, costs: dict[int, int], budget: int):

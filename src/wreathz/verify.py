@@ -24,7 +24,6 @@ from .compression import (
 )
 from .embeddings import (
     H_DIRAC_SIMPLEX,
-    H_IDENTITY_LINE,
     TreeMode,
     affine_alpha,
     cocycle,
@@ -35,7 +34,7 @@ from .embeddings import (
     weighted_tree_embed,
 )
 from .oracles import (
-    _ball_sizes, _tree_neighbors, cayley_bfs, properness_check, properness_cross_check, tree_bfs_dists
+    _tree_neighbors, ball_sizes, cayley_bfs, properness_check, properness_cross_check, tree_bfs_dists
 )
 from .trees import (
     TreeSide,
@@ -107,30 +106,26 @@ def sample_table_row(row: int, rng: random.Random) -> tuple[int, int, int]:
     return n, m, M
 
 
-def random_element(
-    spec: GroupSpec,
-    rng: random.Random,
-    max_pos: int = 3,
-    max_shift: int = 4,
-    value_radius: int = 2,
-    density: float = 0.4,
-) -> WreathElement:
+# Bounds of the suites' seeded random elements.
+RANDOM_MAX_POS = 3
+RANDOM_MAX_SHIFT = 4
+RANDOM_VALUE_RADIUS = 2
+RANDOM_DENSITY = 0.4
+
+
+def random_element(spec: GroupSpec, rng: random.Random) -> WreathElement:
     """Seeded random element with bounded support, shift and lamp values."""
-    values = [v for v in spec.ball(value_radius) if v]
-    lamps = []
-    for pos in range(-max_pos, max_pos + 1):
-        if values and rng.random() < density:
-            lamps.append((pos, rng.choice(values)))
-    return WreathElement(spec, tuple(lamps), rng.randint(-max_shift, max_shift))
+    values = [v for v in spec.ball(RANDOM_VALUE_RADIUS) if v]
+    positions = range(-RANDOM_MAX_POS, RANDOM_MAX_POS + 1)
+    lamps = tuple((p, rng.choice(values)) for p in positions if rng.random() < RANDOM_DENSITY)
+    return WreathElement(spec, lamps, rng.randint(-RANDOM_MAX_SHIFT, RANDOM_MAX_SHIFT))
 
 
-def random_stabilizer_element(
-    spec: GroupSpec, side: TreeSide, rng: random.Random, max_pos: int = 3
-) -> WreathElement:
+def random_stabilizer_element(spec: GroupSpec, side: TreeSide, rng: random.Random) -> WreathElement:
     """Random element of the base-vertex stabilizer: lamps only on the
-    absorbed side of level 0, shift 0."""
-    positions = range(0, max_pos + 1) if side is TreeSide.PLUS else range(-max_pos, 1)
-    values = [v for v in spec.ball(2) if v]
+    absorbed side of level 0 (up to RANDOM_MAX_POS away), shift 0."""
+    positions = range(0, RANDOM_MAX_POS + 1) if side is TreeSide.PLUS else range(-RANDOM_MAX_POS, 1)
+    values = [v for v in spec.ball(RANDOM_VALUE_RADIUS) if v]
     lamps = [(p, rng.choice(values)) for p in positions if rng.random() < 0.5]
     return WreathElement(spec, tuple(lamps), 0)
 
@@ -204,7 +199,7 @@ def check_word_length_oracle(cfg: VerifyConfig):
         bad = [x for x, d in lengths.items() if x.word_length() != d]
         if bad:
             return False, f"{spec}: formula != BFS at {format_element(bad[0])}"
-        sizes = _ball_sizes(lengths, radius)
+        sizes = ball_sizes(lengths, radius)
         if sizes != frozen:
             return False, f"{spec}: ball sizes {sizes} != frozen {frozen}"
     return True, f"formula = BFS on {Z2_BALL_SIZES[-1]} + {Z3_BALL_SIZES[-1]} elements"
@@ -234,9 +229,9 @@ def _travel_sandwiched(x: WreathElement, dp: int, dm: int, rows_hit: set[int]) -
     with lamps."""
     if not x.lamps:
         return True
-    stats = x.support_stats()
-    rows_hit.add(table_row_index(x.shift, stats.min_pos, stats.max_pos))
-    return max(dp, dm) <= x.travel_length() <= dp + dm
+    lo, hi = x.lamps[0][0], x.lamps[-1][0]
+    rows_hit.add(table_row_index(x.shift, lo, hi))
+    return max(dp, dm) <= travel_length(x.shift, lo, hi) <= dp + dm
 
 
 def check_length_sandwich(cfg: VerifyConfig):
@@ -244,7 +239,7 @@ def check_length_sandwich(cfg: VerifyConfig):
     lengths = cayley_bfs(spec, 8)
     rows_hit = set()
     for x, d in lengths.items():
-        cost = x.support_stats().lamp_cost
+        cost = spec.lamp_cost(x.lamps)
         dp = dist_from_base(x, TreeSide.PLUS)
         dm = dist_from_base(x, TreeSide.MINUS)
         if not (max(dp, dm) + cost <= d <= dp + dm + cost):
@@ -311,12 +306,11 @@ def check_tree_action(cfg: VerifyConfig):
         stab = random_stabilizer_element(spec, side, rng)
         if vertex_of(x * stab, side) != vertex_of(x, side):
             return False, f"coset form not well-defined at {format_element(x)}"
-        stats = x.support_stats()
         dp = dist_from_base(x, TreeSide.PLUS)
         dm = dist_from_base(x, TreeSide.MINUS)
         if abs(x.shift) > min(dp, dm):
             return False, "distance below the shift bound"
-        if x.lamps and (dp < -stats.min_pos or dm < stats.max_pos):
+        if x.lamps and (dp < -x.lamps[0][0] or dm < x.lamps[-1][0]):
             return False, "distance below the support bound"
         path = geodesic(u, v)
         for a, b in zip(path, path[1:]):

@@ -48,15 +48,6 @@ def travel_length(shift: int, lo: int, hi: int) -> int:
     return min(via_lo, via_hi)
 
 
-@dataclass(frozen=True)
-class SupportStats:
-    """Extremes and total base-group cost of a lamp configuration."""
-
-    min_pos: int | None
-    max_pos: int | None
-    lamp_cost: int
-
-
 @dataclass(frozen=True, slots=True)
 class WreathElement:
     """An element (lamps, shift) of H wr Z in canonical form.
@@ -114,18 +105,6 @@ class WreathElement:
         n = self.shift
         inv = tuple((pos - n, spec.inv(value)) for pos, value in self.lamps)
         return WreathElement(spec, inv, -n)
-
-    def support_stats(self) -> SupportStats:
-        lamps = self.lamps
-        if not lamps:
-            return SupportStats(None, None, 0)
-        return SupportStats(lamps[0][0], lamps[-1][0], self.spec.lamp_cost(lamps))
-
-    def travel_length(self) -> int:
-        """Shortest walk on Z from 0 to the shift through both support extremes."""
-        if not self.lamps:
-            raise ValueError("travel length is undefined for an empty lamp configuration")
-        return travel_length(self.shift, self.lamps[0][0], self.lamps[-1][0])
 
     def word_length(self) -> int:
         """Word length for the generating set {a, a^-1, s, s^-1}."""

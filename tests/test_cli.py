@@ -1,5 +1,6 @@
 import pytest
 
+import wreathz
 from wreathz import H_DIRAC_SIMPLEX, TreeMode, cyclic, parse_element, sample_pairs, verify
 from wreathz.cli import main
 from wreathz.compression import lower_envelope
@@ -9,6 +10,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_package_all_names_resolve_once():
+    # a stale entry would break only `from wreathz import *`
+    assert len(set(wreathz.__all__)) == len(wreathz.__all__)
+    assert [name for name in wreathz.__all__ if not hasattr(wreathz, name)] == []
 
 
 def test_length_examples(capsys):

@@ -78,6 +78,12 @@ def test_weighted_embed_base_is_zero():
     assert weighted_tree_embed(BASE, BASE, Fraction(1, 4)) == SparseVector()
 
 
+@pytest.mark.parametrize("eps", [0, "3/4", -1])
+def test_weighted_embed_rejects_exponents_outside_the_range(eps):
+    with pytest.raises(ValueError, match=rf"^weight exponent must lie in \(0, 1/2\], got {eps}$"):
+        weighted_tree_embed(BASE, BASE, eps)
+
+
 def test_weighted_embed_unit_distance():
     v = vx(1)
     vec = weighted_tree_embed(v, BASE, Fraction(1, 4))

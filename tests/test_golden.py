@@ -19,6 +19,7 @@ from wreathz import (
     INTEGERS,
     TreeMode,
     TreeSide,
+    WreathElement,
     affine_alpha,
     base_vertex,
     cocycle,
@@ -32,7 +33,6 @@ from wreathz import (
     vertex_of,
 )
 from wreathz.cli import main
-from wreathz.verify import random_element
 
 GOLDEN = Path(__file__).parent / "golden" / "embed.txt"
 EMBED_GROUPS = ("Z/2", "Z/3", "Z/5", "Z")
@@ -41,7 +41,11 @@ VECTOR_GROUPS = ((cyclic(2), H_DIRAC_SIMPLEX), (cyclic(3), H_DIRAC_SIMPLEX), (IN
 
 
 def _small_element(spec, rng):
-    return random_element(spec, rng, max_pos=2, max_shift=3)
+    """Positions -2..2 each lit with probability 0.4 by a value of word
+    length at most 2, shift in -3..3; the draws the golden file was made from."""
+    values = [v for v in spec.ball(2) if v]
+    lamps = tuple((pos, rng.choice(values)) for pos in range(-2, 3) if rng.random() < 0.4)
+    return WreathElement(spec, lamps, rng.randint(-3, 3))
 
 
 def _embed_lines() -> list[str]:

@@ -13,7 +13,7 @@ from wreathz import (
     H_IDENTITY_LINE,
     TreeSide,
     WreathElement,
-    ball_reports,
+    ball_sizes,
     base_vertex,
     cayley_bfs,
     cyclic,
@@ -65,6 +65,14 @@ def reference_cayley_bfs(spec, radius_cap):
 
 def el(spec, lamps, shift):
     return WreathElement.of(spec, lamps, shift)
+
+
+def small_element(spec, rng, max_pos, max_shift):
+    """Positions -max_pos..max_pos each lit with probability 0.4 by a value
+    of word length at most 2, shift in -max_shift..max_shift."""
+    values = [v for v in spec.ball(2) if v]
+    lamps = tuple((pos, rng.choice(values)) for pos in range(-max_pos, max_pos + 1) if rng.random() < 0.4)
+    return WreathElement(spec, lamps, rng.randint(-max_shift, max_shift))
 
 
 def test_bfs_radius_zero():
@@ -120,7 +128,7 @@ def test_bfs_budget_guard():
     with pytest.raises(ValueError, match="budget must be >= 1"):
         cayley_bfs(Z2, 2, budget=0)
     with pytest.raises(ValueError, match="radius must be >= 0"):
-        ball_reports(Z2, -3)
+        cayley_bfs(Z2, -3)
 
 
 def test_budget_env_var(monkeypatch):
@@ -135,20 +143,18 @@ def test_budget_env_var(monkeypatch):
     cayley_bfs(Z2, 8)
 
 
-def test_ball_reports():
-    reports = ball_reports(Z2, 4)
-    assert [r.count for r in reports] == Z2_BALL_SIZES[:5]
-    assert [r.radius for r in reports] == [0, 1, 2, 3, 4]
-    assert all(r.count <= s.count for r, s in zip(reports, reports[1:]))
+def test_ball_sizes():
+    sizes = ball_sizes(cayley_bfs(Z2, 4), 4)
+    assert sizes == Z2_BALL_SIZES[:5]
+    assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
-def test_ball_reports_keep_the_radius_filter_in_order():
-    reports = ball_reports(Z2, 8)
-    assert [r.count for r in reports] == Z2_BALL_SIZES
-    assert [r.radius for r in reports] == list(range(9))
+def test_ball_sizes_keep_the_radius_filter_in_order():
     lengths = cayley_bfs(Z2, 8)
-    for r in reports:
-        assert r.count == sum(1 for d in lengths.values() if d <= r.radius)
+    sizes = ball_sizes(lengths, 8)
+    assert sizes == Z2_BALL_SIZES
+    for r, size in enumerate(sizes):
+        assert size == sum(1 for d in lengths.values() if d <= r)
 
 
 def test_tree_bfs_examples():
@@ -252,7 +258,7 @@ def test_tree_bfs_dists_match_dist(case, side, seed, count):
     # include the source itself and a repeat
     spec, vrad = case
     rng = random.Random(seed)
-    u, *targets = (vertex_of(random_element(spec, rng, 2, 3, vrad), side) for _ in range(count + 1))
+    u, *targets = (vertex_of(small_element(spec, rng, 2, 3), side) for _ in range(count + 1))
     targets += [u, targets[0]]
     rng.shuffle(targets)
     assert tree_bfs_dists(u, targets, vrad) == [dist(u, t) for t in targets]
@@ -263,7 +269,7 @@ def test_tree_bfs_dist_is_the_one_target_batch():
     for spec, vrad in TREE_SPECS:
         for _ in range(20):
             side = rng.choice(list(TreeSide))
-            u, v = (vertex_of(random_element(spec, rng, 2, 3, vrad), side) for _ in range(2))
+            u, v = (vertex_of(small_element(spec, rng, 2, 3), side) for _ in range(2))
             assert tree_bfs_dist(u, v, vrad) == tree_bfs_dists(u, [v], vrad)[0] == dist(u, v)
 
 
@@ -296,7 +302,7 @@ def test_tree_bfs_dists_shared_ball_stops_at_the_vertex_cap(monkeypatch):
     monkeypatch.setattr(oracles, "_SHARED_BALL_CAP", 1000)
     rng = random.Random(41)
     b = base_vertex(Z2, TreeSide.PLUS)
-    targets = [vertex_of(random_element(Z2, rng, 5, 6, 1), TreeSide.PLUS) for _ in range(300)]
+    targets = [vertex_of(small_element(Z2, rng, 5, 6), TreeSide.PLUS) for _ in range(300)]
     assert tree_bfs_dists(b, targets, 1, budget=2000) == [dist(b, t) for t in targets]
 
 

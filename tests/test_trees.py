@@ -97,6 +97,23 @@ def test_closed_form_matches_meet_rule():
                 assert dist_from_base(x, side) == dist(b, vertex_of(x, side))
 
 
+def test_seeded_random_elements_keep_their_stream():
+    # the suites' seeds reproduce their old random streams only while these
+    # draws stay the same
+    rng = random.Random(11)
+    drawn = [str(random_element(spec, rng)) for spec in (cyclic(3), INTEGERS, cyclic(5)) * 2]
+    assert drawn == [
+        "(2@3;-2)",
+        "(1@-3,-2@-2,2@0,-2@3;4)",
+        "(1@-3,2@-2,2@1;3)",
+        "(1@-3,1@-1,1@1,1@3;2)",
+        "(1@-3,-2@-2,-1@0,2@2;2)",
+        "(3@-1,3@0,4@1,2@3;-3)",
+    ]
+    drawn = [str(random_stabilizer_element(INTEGERS, side, rng)) for side in TreeSide]
+    assert drawn == ["(2@0,-1@2,-1@3;0)", "(2@-1,2@0;0)"]
+
+
 def test_coset_form_well_defined():
     rng = random.Random(12)
     for _ in range(300):

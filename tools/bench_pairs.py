@@ -12,6 +12,8 @@ The output file holds, per workload: every run's metrics, output digest and
 op counts, and per end-to-end metric each side's median and quartiles, the
 number of pairs the change wins (ties count for neither side) and the
 median's relative change against the metric's bound in BENCHMARK.json.
+Every entry names each side's code: its commit, a sha256 of its `src/*.py`
+files and their line count, so a PR's net `src/` lines come from the file.
 Running the script again with another workload adds that workload to the
 same file; running it with a workload already there replaces that entry.
 
@@ -40,13 +42,17 @@ import time
 from pathlib import Path
 
 
-def src_digest(checkout: Path) -> str:
+def src_record(checkout: Path) -> dict:
     """sha256 over the paths and bytes of the checkout's `src/*.py` files,
-    naming the code a run measured independently of any commit."""
+    naming the code a run measured independently of any commit, and their
+    total line count (newlines, as `wc -l` counts them)."""
     h = hashlib.sha256()
+    lines = 0
     for path in sorted((checkout / "src").rglob("*.py")):
-        h.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
+        data = path.read_bytes()
+        h.update(str(path.relative_to(checkout)).encode() + b"\0" + data)
+        lines += data.count(b"\n")
+    return {"src_sha256": h.hexdigest(), "src_lines": lines}
 
 
 def git_head(checkout: Path) -> str | None:
@@ -198,7 +204,7 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {"workloads": {}}
     checkouts = {
-        side: {"git_head": git_head(checkout), "src_sha256": src_digest(checkout)}
+        side: {"git_head": git_head(checkout), **src_record(checkout)}
         for side, checkout in sides.items()
     }
 
