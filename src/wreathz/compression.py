@@ -20,7 +20,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
+from operator import mod
 from typing import Sequence
 
 from .basegroups import GroupSpec
@@ -101,9 +102,14 @@ def _random_word(spec: GroupSpec, rng: random.Random, length: int) -> WreathElem
     tally = Counter(compress(positions, moves.translate(_move_mask(2))))
     if len(lamp_values) == 2:
         tally.subtract(Counter(compress(positions, moves.translate(_move_mask(3)))))
+    # counts are values on Z already; on Z/k one C-level `mod` per lamp
+    # normalizes them without a `spec.normalize` call each
+    values = tally.values()
+    if spec.order:
+        values = map(mod, values, repeat(spec.order))
     # a list, not a generator: tuple() of a generator resizes its result,
     # and in a long run such tuples pile up on CPython's tuple free lists
-    lamps = [(pos, v) for pos, v in zip(tally, map(spec.normalize, tally.values())) if v]
+    lamps = [(pos, v) for pos, v in zip(tally, values) if v]
     lamps.sort()
     return WreathElement(spec, tuple(lamps), positions[-1])
 

@@ -24,13 +24,23 @@ class TreeSide(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # enough and runs in C (Enum's own hash is a Python method).
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return "T+" if self is TreeSide.PLUS else "T-"
 
 
 @dataclass(frozen=True)
 class TreeVertex:
-    """Canonical coset form: a level and the tail on one side of it."""
+    """Canonical coset form: a level and the tail on one side of it.
+
+    The hash covers `(level, tail)` only, as `WreathElement`'s covers
+    `(lamps, shift)`: it skips the Python-level hashes of `spec` and `side`.
+    Equality still compares them, so vertices of the two trees or of two
+    base groups with the same level and tail collide yet stay distinct keys.
+    """
 
     spec: GroupSpec
     side: TreeSide
@@ -43,6 +53,9 @@ class TreeVertex:
                 raise ValueError("plus-side tail must lie strictly below the level")
             if self.side is TreeSide.MINUS and self.tail[0][0] <= self.level:
                 raise ValueError("minus-side tail must lie strictly above the level")
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.tail))
 
     def __str__(self) -> str:
         return format_vertex(self)
@@ -71,10 +84,31 @@ def representative(v: TreeVertex) -> WreathElement:
 
 
 def act(g: WreathElement, v: TreeVertex) -> TreeVertex:
-    """Left action on cosets; a tree automorphism."""
-    if g.spec != v.spec:
-        raise ValueError(f"mismatched group specs: {g.spec} vs {v.spec}")
-    return vertex_of(g * representative(v), v.side)
+    """Left action on cosets; a tree automorphism.
+
+    This is `vertex_of(g * representative(v), v.side)` built directly: the
+    image sits at level v.level + g.shift, and its tail is g's lamps strictly
+    on the tail side of that level times v's tail shifted by g.shift (every
+    shifted entry already lies on that side).
+    """
+    spec = v.spec
+    # `is` first: GroupSpec equality is Python code.
+    if g.spec is not spec and g.spec != spec:
+        raise ValueError(f"mismatched group specs: {g.spec} vs {spec}")
+    n = g.shift
+    level = v.level + n
+    if v.side is TreeSide.PLUS:
+        acc = {p: x for p, x in g.lamps if p < level}
+    else:
+        acc = {p: x for p, x in g.lamps if p > level}
+    for pos, value in v.tail:
+        q = pos + n
+        x = spec.mul(acc.get(q, 0), value)
+        if x:
+            acc[q] = x
+        else:
+            del acc[q]
+    return TreeVertex(spec, v.side, level, tuple(sorted(acc.items())))
 
 
 def _require_same_tree(u: TreeVertex, v: TreeVertex):

@@ -54,7 +54,8 @@ class WreathElement:
 
     Construct through `of` (which canonicalizes) unless the inputs are
     already canonical.  Slotted: Cayley balls hold ~10^5 of these.  The hash
-    ignores `spec` (equality does not), so hashing calls no Python code.
+    ignores `spec` (equality does not), so it skips GroupSpec's Python-level
+    hash; `__hash__` itself is still one Python call.
     """
 
     spec: GroupSpec

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from wreathz import (
     INTEGERS,
+    SignedEdge,
+    SparseVector,
     TreeSide,
     TreeVertex,
     WreathElement,
@@ -53,6 +55,77 @@ def test_act_examples():
     assert act(WreathElement.identity(Z2), base) == base
     assert act(el(Z2, {}, 1), base) == vx(Z2, PLUS, 1)
     assert act(el(Z2, {0: 1}, 0), base) == base  # the lamp lies in the stabilizer
+
+
+@st.composite
+def actions(draw):
+    """(g, v) with v's tail values in the value-radius-2 ball, g's lamps on
+    both sides of the image level (the level position included) and, when v
+    has a tail, some of g's lamps cancelling shifted tail entries."""
+    spec = draw(st.sampled_from((Z2, cyclic(3), cyclic(5), INTEGERS)))
+    values = [w for w in spec.ball(VALUE_RADIUS) if w]
+    side = draw(st.sampled_from(list(TreeSide)))
+    level, shift = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    far = range(level - 8, level) if side is PLUS else range(level + 1, level + 9)
+    tail = draw(st.dictionaries(st.sampled_from(far), st.sampled_from(values), max_size=6))
+    new = level + shift
+    lamps = draw(st.dictionaries(st.integers(new - 8, new - 1), st.sampled_from(values), min_size=1, max_size=4))
+    lamps |= draw(st.dictionaries(st.integers(new, new + 8), st.sampled_from(values), min_size=1, max_size=4))
+    if tail:
+        for pos in draw(st.sets(st.sampled_from(sorted(tail)), min_size=1)):
+            lamps[pos + shift] = spec.inv(tail[pos])
+    g = WreathElement.of(spec, lamps, shift)
+    return g, TreeVertex(spec, side, level, tuple(sorted(tail.items())))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(actions())
+def test_act_matches_coset_composition(case):
+    # the direct action against the composition it replaces
+    g, v = case
+    assert act(g, v) == vertex_of(g * representative(v), v.side)
+
+
+def test_act_spec_check():
+    # an equal spec built separately is accepted; a different one raises
+    v = base_vertex(cyclic(3), PLUS)
+    assert act(el(cyclic(3), {-1: 1}, 1), v) == vx(cyclic(3), PLUS, 1, [(-1, 1)])
+    with pytest.raises(ValueError, match="mismatched group specs"):
+        act(el(cyclic(5), {-1: 1}, 1), v)
+    with pytest.raises(ValueError, match="mismatched group specs"):
+        act(el(INTEGERS, {}, 0), base_vertex(Z2, MINUS))
+
+
+def test_vertex_hash_ignores_spec_and_side_but_equality_does_not():
+    tail = ((-1, 1),)
+    pairs = [
+        (TreeVertex(Z2, PLUS, 0, ()), TreeVertex(Z2, MINUS, 0, ())),
+        (TreeVertex(cyclic(3), PLUS, 0, tail), TreeVertex(cyclic(5), PLUS, 0, tail)),
+    ]
+    for a, b in pairs:
+        assert hash(a) == hash(b) and a != b
+        assert len({a, b}) == 2
+        assert {a: 1, b: 2}[a] == 1
+        # the same collision one level up, as signed-edge keys
+        a1 = TreeVertex(a.spec, a.side, 1, a.tail)
+        b1 = TreeVertex(b.spec, b.side, 1, b.tail)
+        vec = SparseVector([(SignedEdge(a, a1), 1), (SignedEdge(b, b1), 2)])
+        assert len(list(vec.items())) == 2
+        assert vec.norm_squared() == 5
+
+
+def test_equal_vertices_hash_equal():
+    x = el(cyclic(3), {-2: 1, 4: 2}, 1)
+    built = [
+        TreeVertex(cyclic(3), PLUS, 1, ((-2, 1),)),
+        TreeVertex(cyclic(3), TreeSide("plus"), 1, tuple([(-2, 1)])),
+        vertex_of(x, PLUS),
+        act(x, base_vertex(cyclic(3), PLUS)),
+    ]
+    assert len(set(built)) == 1
+    assert len({hash(v) for v in built}) == 1
+    assert TreeSide("plus") is PLUS and TreeSide("minus") is MINUS
+    assert {PLUS: 1, MINUS: 2}[TreeSide("minus")] == 2
 
 
 def test_geodesic_examples():

@@ -1,0 +1,156 @@
+"""Re-run the recorded mutation checks: every listed mutant must be killed.
+
+    python3 tools/mutants.py
+
+Each entry names a file under the repository root, an exact text in it, the
+text that replaces it and the tests that must catch the change.  For each
+mutant the script copies `src/`, `tests/` and `pyproject.toml` to a
+temporary directory, applies the replacement there (an old text that is
+missing or not unique is an error, so an entry cannot go stale unnoticed),
+runs the selected tests with pytest and expects them to fail.  Before any
+mutant, the union of all selections runs once on an unmutated copy and must
+pass, so a test that fails anyway cannot count as a kill.
+
+Prints one line per mutant (`killed`, `SURVIVED` or `ERROR`); exits 0 when
+every mutant is killed, 1 when one survives, 2 on a stale entry, a test
+selection that collects nothing or a failing unmutated tree.  Standard
+library only; not part of the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+_ACT_TEST = ("tests/test_trees.py::test_act_matches_coset_composition",)
+_SAMPLER_REFERENCE = "tests/test_compression.py::test_sample_pairs_equal_per_step_reference"
+
+MUTANTS = (
+    Mutant(
+        "act-plus-filter-includes-level",
+        "src/wreathz/trees.py",
+        "for p, x in g.lamps if p < level}",
+        "for p, x in g.lamps if p <= level}",
+        _ACT_TEST,
+    ),
+    Mutant(
+        "act-keeps-identity-values",
+        "src/wreathz/trees.py",
+        "        if x:\n            acc[q] = x\n        else:\n            del acc[q]\n",
+        "        acc[q] = x\n",
+        _ACT_TEST,
+    ),
+    Mutant(
+        "act-tail-not-shifted",
+        "src/wreathz/trees.py",
+        "        q = pos + n\n",
+        "        q = pos\n",
+        _ACT_TEST,
+    ),
+    Mutant(
+        "sampler-left-step-byte",
+        "src/wreathz/compression.py",
+        "_SHIFT_STEP = bytes((1, 0xFF))",
+        "_SHIFT_STEP = bytes((1, 0xFE))",
+        ("tests/test_compression.py::test_one_sided_walk_leaves_the_signed_byte_range", _SAMPLER_REFERENCE),
+    ),
+    Mutant(
+        "sampler-tally-without-subtract",
+        "src/wreathz/compression.py",
+        "        tally.subtract(Counter(compress(positions, moves.translate(_move_mask(3)))))\n",
+        "        pass\n",
+        ("tests/test_compression.py::test_random_word_equals_reference_across_refills", _SAMPLER_REFERENCE),
+    ),
+    Mutant(
+        "weights-read-at-d-minus-1",
+        "src/wreathz/embeddings.py",
+        "        total = sums[dp]\n        total += sums[dm]\n",
+        "        total = sums[dp - 1]\n        total += sums[dm - 1]\n",
+        ("tests/test_compression.py::test_guka_distance_past_the_first_weight_table", _SAMPLER_REFERENCE),
+    ),
+    Mutant(
+        "weights-never-regrown",
+        "src/wreathz/embeddings.py",
+        "        if start <= max(dp, dm):\n",
+        "        if start == 1:\n",
+        ("tests/test_compression.py::test_guka_distance_past_the_first_weight_table", _SAMPLER_REFERENCE),
+    ),
+)
+
+
+def copy_tree(dest: Path):
+    for name in COPIED:
+        src = ROOT / name
+        if src.is_dir():
+            shutil.copytree(src, dest / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy2(src, dest / name)
+
+
+def apply(root: Path, mutant: Mutant):
+    path = root / mutant.path
+    text = path.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        print(f"mutants: {mutant.name}: old text found {found} times in {mutant.path}, expected once", file=sys.stderr)
+        raise SystemExit(2)
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run_tests(root: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=root, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="wreathz-mutants-") as tmp:
+        clean = Path(tmp) / "clean"
+        clean.mkdir()
+        copy_tree(clean)
+        selection = sorted({t for m in MUTANTS for t in m.tests})
+        code = run_tests(clean, selection)
+        if code != 0:
+            print(f"mutants: the unmutated tree fails its selections (pytest exit {code})", file=sys.stderr)
+            return 2
+        survived = errors = 0
+        for i, mutant in enumerate(MUTANTS):
+            root = Path(tmp) / f"m{i}"
+            root.mkdir()
+            copy_tree(root)
+            apply(root, mutant)
+            start = time.perf_counter()
+            code = run_tests(root, mutant.tests)
+            seconds = time.perf_counter() - start
+            # pytest exits 1 when a test failed; 0 means every test passed,
+            # anything else (no tests collected, usage error) is a bad entry
+            status = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            survived += code == 0
+            errors += code not in (0, 1)
+            print(f"{status:<8} {mutant.name} ({seconds:.1f}s)", flush=True)
+            shutil.rmtree(root)
+    print(f"{len(MUTANTS) - survived - errors}/{len(MUTANTS)} mutants killed")
+    return 1 if survived else 2 if errors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
