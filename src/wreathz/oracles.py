@@ -14,14 +14,16 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, starmap
 from operator import itemgetter
 
 from .basegroups import GroupSpec
 from .embeddings import lamp_displacement, validate_h_mode
-from .trees import TreeSide, TreeVertex, dist_from_base, spine_step
+from .trees import TreeSide, TreeVertex, dist_from_base, truncated_neighbors
 from .wreath import WreathElement
 
 DEFAULT_BUDGET = 10_000_000
@@ -66,12 +68,54 @@ def _grow(seen: dict, frontier: list, depth: int, neighbors, budget: int, held: 
     return grown
 
 
+class _Ball(Mapping):
+    """Read-only `Mapping[WreathElement, int]` over a Cayley BFS's raw
+    `{(lamps, shift): length}` dict.  `len` and `values()` read the raw dict;
+    iteration and `items()` build each element as it is read, in discovery
+    order; a lookup checks the element's spec, then its `(lamps, shift)`."""
+
+    def __init__(self, spec: GroupSpec, raw: dict[tuple, int]):
+        self._spec = spec
+        self._raw = raw
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __iter__(self):
+        return starmap(partial(WreathElement, self._spec), self._raw)
+
+    def __getitem__(self, x) -> int:
+        if isinstance(x, WreathElement) and x.spec == self._spec:
+            d = self._raw.get((x.lamps, x.shift))
+            if d is not None:
+                return d
+        raise KeyError(x)
+
+    def values(self):
+        return self._raw.values()
+
+    def items(self):
+        return _BallItems(self)
+
+
+class _BallItems(ItemsView):
+    """`_Ball.items()`: each element zipped with its raw length."""
+
+    def __iter__(self):
+        ball = self._mapping
+        return zip(ball, ball._raw.values())
+
+
 def cayley_bfs(
     spec: GroupSpec, radius_cap: int, budget: int | None = None
-) -> dict[WreathElement, int]:
+) -> Mapping[WreathElement, int]:
     """Exact word length of every element in the ball of the given radius,
     by breadth-first expansion over the standard generators.  The budget
-    caps the number of stored elements: storing one more raises."""
+    caps the number of stored elements: storing one more raises.
+
+    The result is a read-only mapping over the search's raw keys, in
+    discovery order: its elements are built as they are iterated, so
+    reading only `len` or `values()` builds none."""
     if radius_cap < 0:
         raise ValueError(f"radius must be >= 0, got {radius_cap}")
     budget = element_budget(budget)
@@ -101,35 +145,14 @@ def cayley_bfs(
             frontier = _grow(found, frontier, layer, neighbors, budget)
         except BudgetError as err:
             raise BudgetError(f"Cayley ball outgrew the element budget {err} at radius {layer}") from None
-    return {WreathElement(spec, lamps, n): d for (lamps, n), d in found.items()}
+    return _Ball(spec, found)
 
 
-def ball_sizes(lengths: dict[WreathElement, int], radius: int) -> list[int]:
+def ball_sizes(lengths: Mapping[WreathElement, int], radius: int) -> list[int]:
     """Cumulative ball sizes for radii 0..radius from a `cayley_bfs` result,
     counting each layer once."""
     layers = Counter(lengths.values())
     return list(accumulate(layers[r] for r in range(radius + 1)))
-
-
-def _tree_neighbors(values, plus_side: bool):
-    """Tree adjacency on raw (level, tail) pairs, truncated to the given
-    non-identity lamp values: a vertex's spine-ward vertex (`spine_step`)
-    and one outward branch per optional value at the level position."""
-
-    def neighbors(vert: tuple) -> list[tuple]:
-        n, tail = vert
-        out = [spine_step(n, tail, plus_side)]
-        if plus_side:
-            out.append((n + 1, tail))
-            for value in values:
-                out.append((n + 1, tail + ((n, value),)))
-        else:
-            out.append((n - 1, tail))
-            for value in values:
-                out.append((n - 1, ((n, value),) + tail))
-        return out
-
-    return neighbors
 
 
 def tree_bfs_dist(u: TreeVertex, v: TreeVertex, value_radius: int, budget: int | None = None) -> int:
@@ -162,7 +185,7 @@ def tree_bfs_dists(
         if not allowed.issuperset(map(_value, v.tail)):
             raise ValueError("tail value outside the truncation ball; raise value_radius")
     budget = element_budget(budget)
-    neighbors = _tree_neighbors(values, u.side is TreeSide.PLUS)
+    neighbors = truncated_neighbors(values, u.side is TreeSide.PLUS)
     ball = {(u.level, u.tail): 0}
     ball_frontier, radius, dists = list(ball), 0, []
     try:

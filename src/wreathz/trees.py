@@ -154,6 +154,27 @@ def spine_step(level: int, tail: LampConfig, plus: bool) -> tuple[int, LampConfi
     return level, tail[1:] if tail and tail[0][0] == level else tail
 
 
+def truncated_neighbors(values, plus_side: bool):
+    """Tree adjacency on raw (level, tail) pairs, truncated to the given
+    non-identity lamp values: a vertex's spine-ward vertex (`spine_step`)
+    and one outward branch per optional value at the level position."""
+
+    def neighbors(vert: tuple) -> list[tuple]:
+        n, tail = vert
+        out = [spine_step(n, tail, plus_side)]
+        if plus_side:
+            out.append((n + 1, tail))
+            for value in values:
+                out.append((n + 1, tail + ((n, value),)))
+        else:
+            out.append((n - 1, tail))
+            for value in values:
+                out.append((n - 1, ((n, value),) + tail))
+        return out
+
+    return neighbors
+
+
 def _descent(v: TreeVertex, target_level: int) -> list[TreeVertex]:
     """Vertices from v down to target_level inclusive."""
     out = [v]

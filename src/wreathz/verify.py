@@ -33,9 +33,7 @@ from .embeddings import (
     sigma,
     weighted_tree_embed,
 )
-from .oracles import (
-    _tree_neighbors, ball_sizes, cayley_bfs, properness_check, properness_cross_check, tree_bfs_dists
-)
+from .oracles import ball_sizes, cayley_bfs, properness_check, properness_cross_check, tree_bfs_dists
 from .trees import (
     TreeSide,
     TreeVertex,
@@ -44,6 +42,7 @@ from .trees import (
     dist,
     dist_from_base,
     geodesic,
+    truncated_neighbors,
     vertex_of,
 )
 from .wreath import WreathElement, format_element, parse_element, travel_length
@@ -196,9 +195,9 @@ def check_wreath_axioms(cfg: VerifyConfig):
 def check_word_length_oracle(cfg: VerifyConfig):
     for spec, radius, frozen in ((cyclic(2), 8, Z2_BALL_SIZES), (cyclic(3), 6, Z3_BALL_SIZES)):
         lengths = cayley_bfs(spec, radius)
-        bad = [x for x, d in lengths.items() if x.word_length() != d]
-        if bad:
-            return False, f"{spec}: formula != BFS at {format_element(bad[0])}"
+        bad = next((x for x, d in lengths.items() if x.word_length() != d), None)
+        if bad is not None:
+            return False, f"{spec}: formula != BFS at {format_element(bad)}"
         sizes = ball_sizes(lengths, radius)
         if sizes != frozen:
             return False, f"{spec}: ball sizes {sizes} != frozen {frozen}"
@@ -386,7 +385,7 @@ def check_weighted_embedding(cfg: VerifyConfig):
         if not 1 <= d <= 200:
             continue
         pairs += 1
-        nb = TreeVertex(spec, TreeSide.PLUS, *rng.choice(_tree_neighbors((1,), True)((u.level, u.tail))))
+        nb = TreeVertex(spec, TreeSide.PLUS, *rng.choice(truncated_neighbors((1,), True)((u.level, u.tail))))
         step = weighted_tree_embed(u, base, quarter) - weighted_tree_embed(nb, base, quarter)
         worst_step = max(worst_step, step.norm())
         for eps in fitted_lower:

@@ -1,4 +1,5 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 
@@ -108,6 +109,30 @@ def test_bfs_equals_reference_expansion(spec, radius_cap):
         assert got == want
         # same discovery order too
         assert list(got.items()) == list(want.items())
+
+
+def test_ball_is_a_read_only_mapping():
+    ball = cayley_bfs(Z2, 4)
+    assert isinstance(ball, Mapping)
+    with pytest.raises(TypeError):
+        ball[WreathElement.identity(Z2)] = 1
+    x = el(Z2, {1: 1}, 0)
+    assert x in ball and ball[x] == 3
+    # past the radius, an equal-looking element of Z/3 wr Z, a raw key
+    for y in (el(Z2, {}, 5), el(cyclic(3), {1: 1}, 0), ((), 0)):
+        assert y not in ball
+        with pytest.raises(KeyError):
+            ball[y]
+
+
+def test_ball_views_agree_in_discovery_order():
+    ball = cayley_bfs(cyclic(3), 4)
+    want = reference_cayley_bfs(cyclic(3), 4)
+    assert list(ball) == list(ball.keys()) == list(want)
+    assert list(ball.values()) == list(want.values())
+    assert list(ball.items()) == list(zip(ball, ball.values())) == list(want.items())
+    assert list(ball) == list(ball)  # iterating again builds equal elements
+    assert len(ball) == len(want)
 
 
 def test_bfs_budget_is_a_hard_cap():

@@ -21,8 +21,7 @@ from wreathz import (
     geom_edge,
     vertex_of,
 )
-from wreathz.oracles import _tree_neighbors
-from wreathz.trees import _descent, meet_level, representative, spine_step
+from wreathz.trees import _descent, meet_level, representative, spine_step, truncated_neighbors
 from wreathz.verify import random_element, random_stabilizer_element
 
 Z2 = cyclic(2)
@@ -248,7 +247,7 @@ def test_neighbors_shape():
     values = [v for v in cyclic(3).ball(1) if v]
     for side in TreeSide:
         v = vertex_of(el(cyclic(3), {0: 1, 2: 2}, 1), side)
-        raw = _tree_neighbors(values, side is TreeSide.PLUS)((v.level, v.tail))
+        raw = truncated_neighbors(values, side is TreeSide.PLUS)((v.level, v.tail))
         nbs = [TreeVertex(v.spec, side, level, tail) for level, tail in raw]
         assert len(nbs) == len(values) + 2  # one spine-ward, |values|+1 outward
         assert len(set(nbs)) == len(nbs)
@@ -277,7 +276,7 @@ def truncated_vertices(draw):
 def test_raw_neighbors_step_back_through_spine_step(case):
     v, values = case
     plus = v.side is PLUS
-    spine_ward, *outward = _tree_neighbors(values, plus)((v.level, v.tail))
+    spine_ward, *outward = truncated_neighbors(values, plus)((v.level, v.tail))
     assert spine_ward == spine_step(v.level, v.tail, plus)
     assert len(outward) == len(values) + 1
     for level, tail in outward:

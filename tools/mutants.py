@@ -43,6 +43,7 @@ class Mutant:
 
 _ACT_TEST = ("tests/test_trees.py::test_act_matches_coset_composition",)
 _SAMPLER_REFERENCE = "tests/test_compression.py::test_sample_pairs_equal_per_step_reference"
+_CAYLEY_REFERENCE = "tests/test_oracles.py::test_bfs_equals_reference_expansion"
 
 MUTANTS = (
     Mutant(
@@ -93,6 +94,34 @@ MUTANTS = (
         "        if start <= max(dp, dm):\n",
         "        if start == 1:\n",
         ("tests/test_compression.py::test_guka_distance_past_the_first_weight_table", _SAMPLER_REFERENCE),
+    ),
+    Mutant(
+        "cayley-cursor-off-by-one",
+        "src/wreathz/oracles.py",
+        "        i = bisect_left(lamps, (n,))\n",
+        "        i = bisect_left(lamps, (n + 1,))\n",
+        (_CAYLEY_REFERENCE,),
+    ),
+    Mutant(
+        "cayley-splice-keeps-old-lamp",
+        "src/wreathz/oracles.py",
+        "cur, rest = lamps[i][1], lamps[i + 1 :]",
+        "cur, rest = lamps[i][1], lamps[i:]",
+        (_CAYLEY_REFERENCE,),
+    ),
+    Mutant(
+        "ball-lookup-ignores-spec",
+        "src/wreathz/oracles.py",
+        "if isinstance(x, WreathElement) and x.spec == self._spec:",
+        "if isinstance(x, WreathElement):",
+        ("tests/test_oracles.py::test_ball_is_a_read_only_mapping",),
+    ),
+    Mutant(
+        "ball-iteration-shift-plus-one",
+        "src/wreathz/oracles.py",
+        "        return starmap(partial(WreathElement, self._spec), self._raw)\n",
+        "        return (WreathElement(self._spec, lamps, n + 1) for lamps, n in self._raw)\n",
+        ("tests/test_oracles.py::test_ball_views_agree_in_discovery_order", _CAYLEY_REFERENCE),
     ),
 )
 
