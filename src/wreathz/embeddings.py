@@ -99,10 +99,13 @@ def cocycle(x: TreeVertex, y: TreeVertex) -> SparseVector:
     both exactly.
     """
     path = geodesic(x, y)
-    return SparseVector(
-        (SignedEdge(a, b), 1) if a.level < b.level else (SignedEdge(b, a), -1)
-        for a, b in zip(path, path[1:])
-    )
+    plus = x.side is TreeSide.PLUS
+    items = []
+    for a, b in zip(path, path[1:]):
+        up = a.level < b.level
+        # the step's outer vertex: its upper end on T+, its lower end on T-
+        items.append((SignedEdge(b if up is plus else a), 1 if up else -1))
+    return SparseVector(items)
 
 
 def iota(v: TreeVertex, base: TreeVertex) -> SparseVector:
@@ -205,9 +208,9 @@ class AffineMap:
         g, side = self.element, self.base.side
         items = []
         for key, value in vec.items():
-            if isinstance(key, GeomEdge) and key.lo.side is side:
-                # the action adds g.shift to every level, so lo stays below hi
-                key = type(key)(act(g, key.lo), act(g, key.hi))
+            if isinstance(key, GeomEdge) and key.outer.side is side:
+                # act shifts every level by g.shift and commutes with spine_step
+                key = type(key)(act(g, key.outer))
             items.append((key, value))
         return SparseVector(items)
 
@@ -250,7 +253,7 @@ def gamma_action_on_sum(g: WreathElement, vec: SparseVector, h_mode: str) -> Spa
     items = []
     for key, value in vec.items():
         if isinstance(key, SignedEdge):
-            key = SignedEdge(act(g, key.lo), act(g, key.hi))
+            key = type(key)(act(g, key.outer))
         elif isinstance(key, LampCoord):
             target = key.index + n
             coord = spec.mul(lamps.get(target, 0), key.coord) if simplex else key.coord

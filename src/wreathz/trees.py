@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .basegroups import GroupSpec
-from .wreath import LampConfig, WreathElement
+from .wreath import LampConfig, WreathElement, canonical_lamps
 
 
 class TreeSide(enum.Enum):
@@ -89,7 +89,7 @@ def act(g: WreathElement, v: TreeVertex) -> TreeVertex:
     This is `vertex_of(g * representative(v), v.side)` built directly: the
     image sits at level v.level + g.shift, and its tail is g's lamps strictly
     on the tail side of that level times v's tail shifted by g.shift (every
-    shifted entry already lies on that side).
+    shifted entry already lies on that side), spliced by `canonical_lamps`.
     """
     spec = v.spec
     # `is` first: GroupSpec equality is Python code.
@@ -101,14 +101,7 @@ def act(g: WreathElement, v: TreeVertex) -> TreeVertex:
         acc = {p: x for p, x in g.lamps if p < level}
     else:
         acc = {p: x for p, x in g.lamps if p > level}
-    for pos, value in v.tail:
-        q = pos + n
-        x = spec.mul(acc.get(q, 0), value)
-        if x:
-            acc[q] = x
-        else:
-            del acc[q]
-    return TreeVertex(spec, v.side, level, tuple(sorted(acc.items())))
+    return TreeVertex(spec, v.side, level, canonical_lamps(spec, v.tail, n, acc))
 
 
 def _require_same_tree(u: TreeVertex, v: TreeVertex):

@@ -25,35 +25,31 @@ from .trees import TreeSide, TreeVertex, format_vertex, spine_step
 
 @dataclass(frozen=True)
 class GeomEdge:
-    """Unoriented tree edge, endpoints ordered by level: on the plus tree hi
-    steps toward the spine to lo, on the minus tree lo steps to hi."""
+    """Unoriented tree edge keyed by its outer endpoint, whose `spine_step` is
+    the other one: the upper end on the plus tree, the lower end on the minus
+    tree.  Every vertex is the outer end of exactly one edge."""
 
-    lo: TreeVertex
-    hi: TreeVertex
-
-    def __post_init__(self):
-        lo, hi = self.lo, self.hi
-        # `is` first: GroupSpec equality is Python code, run once per edge.
-        if lo.side is not hi.side or (lo.spec is not hi.spec and lo.spec != hi.spec):
-            raise ValueError("edge endpoints must lie in the same tree")
-        if lo.side is TreeSide.PLUS:
-            adjacent = spine_step(hi.level, hi.tail, True) == (lo.level, lo.tail)
-        else:
-            adjacent = spine_step(lo.level, lo.tail, False) == (hi.level, hi.tail)
-        if not adjacent:
-            raise ValueError("edge endpoints must be adjacent, ordered by level")
+    outer: TreeVertex
 
 
 def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
-    """Canonical unoriented edge between two adjacent vertices."""
-    return GeomEdge(u, v) if u.level < v.level else GeomEdge(v, u)
+    """The edge between two adjacent vertices of one tree; raises ValueError
+    for vertices of different trees or base groups, or not adjacent."""
+    # `is` first: GroupSpec equality is Python code.
+    if u.side is not v.side or (u.spec is not v.spec and u.spec != v.spec):
+        raise ValueError("edge endpoints must lie in the same tree")
+    plus = u.side is TreeSide.PLUS
+    for outer, inner in ((u, v), (v, u)):
+        if spine_step(outer.level, outer.tail, plus) == (inner.level, inner.tail):
+            return GeomEdge(outer)
+    raise ValueError("edge endpoints must be adjacent")
 
 
 @dataclass(frozen=True)
 class SignedEdge(GeomEdge):
     """One coordinate per geometric edge for the cocycle embedding: the
-    value is the charge carried from lo to hi, so the reverse orientation
-    carries its negative."""
+    value is the charge carried from the lower endpoint to the upper one, so
+    the reverse orientation carries its negative."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +73,20 @@ def _oriented(src: TreeVertex, dst: TreeVertex) -> tuple[tuple, str]:
 
 
 def _key_rows(key: CoordKey) -> list[tuple[tuple, str, int]]:
-    """(sort key, literal, sign) of each printed row of a coordinate.  A
-    signed edge prints as its two oriented halves: lo -> hi with the value
-    and hi -> lo with its negative."""
+    """(sort key, literal, sign) of each printed row of a coordinate.  An
+    edge's endpoints lo and hi, by level, come from its outer vertex through
+    `spine_step`.  A signed edge prints as its two oriented halves: lo -> hi
+    with the value and hi -> lo with its negative."""
+    if isinstance(key, LampCoord):
+        return [((2, key.index, key.coord), f"lamp {key.index} : {key.coord}", 1)]
+    v = key.outer
+    plus = v.side is TreeSide.PLUS
+    inner = TreeVertex(v.spec, v.side, *spine_step(v.level, v.tail, plus))
+    lo, hi = (inner, v) if plus else (v, inner)
     if isinstance(key, SignedEdge):
-        return [(*_oriented(key.lo, key.hi), 1), (*_oriented(key.hi, key.lo), -1)]
-    if isinstance(key, GeomEdge):
-        sort_key = (0, key.lo.side.value, key.lo.level, key.lo.tail, key.hi.level, key.hi.tail)
-        return [(sort_key, f"ge {format_vertex(key.lo)} -- {format_vertex(key.hi)}", 1)]
-    return [((2, key.index, key.coord), f"lamp {key.index} : {key.coord}", 1)]
+        return [(*_oriented(lo, hi), 1), (*_oriented(hi, lo), -1)]
+    sort_key = (0, lo.side.value, lo.level, lo.tail, hi.level, hi.tail)
+    return [(sort_key, f"ge {format_vertex(lo)} -- {format_vertex(hi)}", 1)]
 
 
 def format_value(value: Scalar) -> str:
@@ -94,20 +95,24 @@ def format_value(value: Scalar) -> str:
     return f"{value:.12f}"
 
 
+def _accumulate(acc: dict[CoordKey, Scalar], entries: Iterable[tuple[CoordKey, Scalar]]) -> dict:
+    """Add the entries into acc, dropping coordinates that sum to zero."""
+    for key, value in entries:
+        v = acc.get(key, 0) + value
+        if v:
+            acc[key] = v
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 class SparseVector:
     """Immutable finitely supported vector keyed by CoordKey."""
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[tuple[CoordKey, Scalar]] = ()):
-        acc: dict[CoordKey, Scalar] = {}
-        for key, value in entries:
-            v = acc.get(key, 0) + value
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-        self._entries = acc
+        self._entries = _accumulate({}, entries)
 
     @classmethod
     def single(cls, key: CoordKey, value: Scalar) -> "SparseVector":
@@ -134,14 +139,7 @@ class SparseVector:
 
     def __add__(self, other: "SparseVector") -> "SparseVector":
         out = SparseVector()
-        acc = dict(self._entries)
-        for key, value in other._entries.items():
-            v = acc.get(key, 0) + value
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-        out._entries = acc
+        out._entries = _accumulate(dict(self._entries), other._entries.items())
         return out
 
     def __neg__(self) -> "SparseVector":

@@ -409,7 +409,10 @@ def check_sigma_audits(cfg: VerifyConfig):
     gap = audit_injectivity_gap(samples, spec, tree_mode, H_DIRAC_SIMPLEX)
     if lip or gap:
         return False, f"{len(lip)} Lipschitz and {len(gap)} separation violations"
-    fit = fit_envelope(samples)
+    try:
+        fit = fit_envelope(samples)
+    except ValueError as err:  # too few samples to fit
+        return False, str(err)
     if fit.exponent < ENVELOPE_EXPONENT_FLOOR:
         return False, f"envelope exponent {fit.exponent:.4f} below {ENVELOPE_EXPONENT_FLOOR}"
     return True, (

@@ -22,16 +22,20 @@ from .basegroups import GroupSpec, ParseError
 LampConfig = tuple[tuple[int, int], ...]
 
 
-def canonical_lamps(spec: GroupSpec, items: Iterable[tuple[int, int]]) -> LampConfig:
-    """Normalize values, drop identities, sort positions.  Later entries at a
-    repeated position multiply onto earlier ones."""
-    acc: dict[int, int] = {}
+def canonical_lamps(
+    spec: GroupSpec, items: Iterable[tuple[int, int]], shift: int = 0, onto: dict[int, int] | None = None
+) -> LampConfig:
+    """Multiply `items`, positions moved by `shift`, in order onto `onto` (a
+    {position: value} dict the call consumes), drop identities and sort.  The
+    one lamp splice: `of`, the product and the tree action all run it."""
+    acc = {} if onto is None else onto
     for pos, value in items:
-        v = spec.mul(acc.get(pos, 0), value)
+        q = pos + shift
+        v = spec.mul(acc.get(q, 0), value)
         if v:
-            acc[pos] = v
+            acc[q] = v
         else:
-            acc.pop(pos, None)
+            acc.pop(q, None)
     return tuple(sorted(acc.items()))
 
 
@@ -89,17 +93,9 @@ class WreathElement:
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         if self.spec != other.spec:
             raise ValueError(f"mismatched group specs: {self.spec} vs {other.spec}")
-        spec = self.spec
-        acc = dict(self.lamps)
         n = self.shift
-        for pos, value in other.lamps:
-            q = pos + n
-            v = spec.mul(acc.get(q, 0), value)
-            if v:
-                acc[q] = v
-            else:
-                del acc[q]
-        return WreathElement(spec, tuple(sorted(acc.items())), n + other.shift)
+        lamps = canonical_lamps(self.spec, other.lamps, n, dict(self.lamps))
+        return WreathElement(self.spec, lamps, n + other.shift)
 
     def inverse(self) -> "WreathElement":
         spec = self.spec

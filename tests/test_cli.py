@@ -207,6 +207,23 @@ def test_verify_rejects_bad_counts_before_any_suite(capsys, flag, value):
     assert err.startswith("error: ") and f"({flag}) must be >= " in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, detail",
+    [
+        ("--samples", "1", "degenerate envelope: 1 usable bucket(s)"),
+        ("--scale", "0", "no nonzero samples to fit"),
+        ("--scale", "1", "degenerate envelope: 1 usable bucket(s)"),
+    ],
+)
+def test_verify_reports_a_degenerate_fit_as_a_failed_suite(capsys, flag, value, detail):
+    # too few samples to fit fails the suite; the run goes on to its summary
+    code, out, err = run(capsys, "verify", "--suite", "base-groups", "--suite", "sigma-audits", flag, value)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS base-groups: ")
+    assert lines[1:] == [f"FAIL sigma-audits: {detail}", "passed 1/2 suites"]
+
+
 def test_verify_wreath_axioms_runs_at_least_one_round(capsys, monkeypatch):
     drawn = []
 

@@ -101,8 +101,8 @@ def test_weighted_embed_indexes_from_moving_vertex():
     # the edge adjacent to v carries weight 1, the one at the base sqrt(2)
     v = vx(2)
     vec = weighted_tree_embed(v, BASE, Fraction(1, 2))
-    near_v = [val for key, val in vec.items() if key.hi.level == 2]
-    near_base = [val for key, val in vec.items() if key.hi.level == 1]
+    near_v = [val for key, val in vec.items() if key.outer.level == 2]
+    near_base = [val for key, val in vec.items() if key.outer.level == 1]
     assert near_v == [1.0]
     assert near_base == [pytest.approx(math.sqrt(2))]
 

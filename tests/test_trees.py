@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from wreathz import (
     INTEGERS,
+    GeomEdge,
     SignedEdge,
     SparseVector,
     TreeSide,
@@ -85,6 +86,17 @@ def test_act_matches_coset_composition(case):
     assert act(g, v) == vertex_of(g * representative(v), v.side)
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(actions(), st.data())
+def test_act_moves_each_edge_with_its_outer_vertex(case, data):
+    # the edge permutation acts on an edge key's outer vertex alone
+    g, v = case
+    values = [w for w in v.spec.ball(VALUE_RADIUS) if w]
+    neighbors = truncated_neighbors(values, v.side is PLUS)((v.level, v.tail))
+    u = TreeVertex(v.spec, v.side, *data.draw(st.sampled_from(neighbors)))
+    assert geom_edge(act(g, u), act(g, v)) == GeomEdge(act(g, geom_edge(u, v).outer))
+
+
 def test_act_spec_check():
     # an equal spec built separately is accepted; a different one raises
     v = base_vertex(cyclic(3), PLUS)
@@ -105,10 +117,8 @@ def test_vertex_hash_ignores_spec_and_side_but_equality_does_not():
         assert hash(a) == hash(b) and a != b
         assert len({a, b}) == 2
         assert {a: 1, b: 2}[a] == 1
-        # the same collision one level up, as signed-edge keys
-        a1 = TreeVertex(a.spec, a.side, 1, a.tail)
-        b1 = TreeVertex(b.spec, b.side, 1, b.tail)
-        vec = SparseVector([(SignedEdge(a, a1), 1), (SignedEdge(b, b1), 2)])
+        # the same collision as signed-edge keys, keyed by these vertices
+        vec = SparseVector([(SignedEdge(a), 1), (SignedEdge(b), 2)])
         assert len(list(vec.items())) == 2
         assert vec.norm_squared() == 5
 

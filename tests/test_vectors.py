@@ -14,39 +14,42 @@ def vx(level, lamps=(), side=TreeSide.PLUS):
 
 def test_unit_charge_on_both_orientations_has_norm_one():
     # one signed coordinate carries the charge in both orientations
-    a, b = vx(0), vx(1)
-    v = SparseVector.single(SignedEdge(a, b), 1)
+    v = SparseVector.single(SignedEdge(vx(1)), 1)
     assert v.norm_squared() == 1 and type(v.norm_squared()) is int
     assert v.dump_lines() == ["oe T+ [0 | ] -> T+ [1 | ]\t1", "oe T+ [1 | ] -> T+ [0 | ]\t-1"]
     assert (-v).dump_lines() == ["oe T+ [0 | ] -> T+ [1 | ]\t-1", "oe T+ [1 | ] -> T+ [0 | ]\t1"]
 
 
 def test_inner_product_with_zero():
-    a, b = vx(0), vx(1)
-    v = SparseVector([(SignedEdge(a, b), Fraction(3, 2))])
+    v = SparseVector([(SignedEdge(vx(1)), Fraction(3, 2))])
     assert SparseVector().ip(v) == 0
     assert v.ip(SparseVector()) == 0
 
 
 def test_geometric_edge_uses_standard_convention():
+    minus = TreeSide.MINUS
     e = geom_edge(vx(1), vx(0))
     assert SparseVector.single(e, 1).norm_squared() == 1
-    assert e == geom_edge(vx(0), vx(1))  # canonical order
-    # same endpoints, different coordinate class: orthogonal
-    signed = SignedEdge(vx(0), vx(1))
+    # either order gives the key of the outer endpoint: the upper one on T+
+    # and the lower one on T-
+    assert e == geom_edge(vx(0), vx(1)) == GeomEdge(vx(1))
+    assert geom_edge(vx(1, side=minus), vx(0, side=minus)) == GeomEdge(vx(0, side=minus))
+    # same edge, different coordinate class: orthogonal
+    signed = SignedEdge(vx(1))
     assert e != signed
     assert SparseVector.single(e, 1).ip(SparseVector.single(signed, 1)) == 0
 
 
 def test_edge_constructors_validate_adjacency():
-    with pytest.raises(ValueError, match="adjacent"):
-        SignedEdge(vx(0), vx(2))
-    with pytest.raises(ValueError, match="adjacent"):
-        SignedEdge(vx(1), vx(0))  # endpoints must be ordered by level
-    with pytest.raises(ValueError, match="adjacent"):
-        GeomEdge(vx(0), vx(0))
+    for side in TreeSide:
+        with pytest.raises(ValueError, match="adjacent"):
+            geom_edge(vx(0, side=side), vx(2, side=side))
+        with pytest.raises(ValueError, match="adjacent"):
+            geom_edge(vx(0, side=side), vx(0, side=side))
+        with pytest.raises(ValueError, match="same tree"):
+            geom_edge(vx(1, side=side), TreeVertex(cyclic(3), side, 0, ()))
     with pytest.raises(ValueError, match="same tree"):
-        SignedEdge(vx(0), vx(1, side=TreeSide.MINUS))
+        geom_edge(vx(0), vx(1, side=TreeSide.MINUS))
 
 
 def test_edges_reject_non_adjacent_endpoints_on_both_trees():
@@ -59,18 +62,17 @@ def test_edges_reject_non_adjacent_endpoints_on_both_trees():
         (vx(0, side=minus), vx(1, [(2, 1)], side=minus)),  # distance 3
     ]
     for lo, hi in pairs:
-        for edge_class in (GeomEdge, SignedEdge):
+        for u, v in ((lo, hi), (hi, lo)):
             with pytest.raises(ValueError, match="adjacent"):
-                edge_class(lo, hi)
+                geom_edge(u, v)
     # the tail entry at the lower level belongs to the plus tree's upper end
     # and to the minus tree's lower end
-    SignedEdge(vx(0), vx(1, [(0, 1)]))
-    SignedEdge(vx(0, [(1, 1)], side=minus), vx(1, side=minus))
+    assert geom_edge(vx(0), vx(1, [(0, 1)])) == GeomEdge(vx(1, [(0, 1)]))
+    assert geom_edge(vx(0, [(1, 1)], side=minus), vx(1, side=minus)) == GeomEdge(vx(0, [(1, 1)], side=minus))
 
 
 def test_vector_arithmetic_prunes_zeros():
-    a, b = vx(0), vx(1)
-    e = SignedEdge(a, b)
+    e = SignedEdge(vx(1))
     v = SparseVector([(e, 2)])
     w = SparseVector([(e, -2), (LampCoord(0, 1), Fraction(1, 3))])
     total = v + w
@@ -83,8 +85,7 @@ def test_vector_arithmetic_prunes_zeros():
 
 
 def test_mixed_class_inner_product():
-    a, b = vx(0), vx(1)
-    v = SparseVector([(SignedEdge(a, b), 2), (LampCoord(1, 0), 3)])
+    v = SparseVector([(SignedEdge(vx(1)), 2), (LampCoord(1, 0), 3)])
     # 2 * 2 + 3 * 3
     assert v.norm_squared() == 13
     assert v.ip(SparseVector.single(LampCoord(1, 0), 1)) == 3
@@ -94,7 +95,7 @@ def test_dump_is_deterministic_and_ordered():
     a, b = vx(0), vx(1)
     items = [
         (LampCoord(2, 1), 0.5),
-        (SignedEdge(a, b), 1),
+        (SignedEdge(b), 1),
         (geom_edge(a, b), Fraction(7, 2)),
         (LampCoord(-1, 0), 2),
     ]

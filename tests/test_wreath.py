@@ -38,6 +38,52 @@ def el(spec, lamps, shift):
     return WreathElement.of(spec, lamps, shift)
 
 
+def per_position(entries):
+    """Integer sums of raw (position, value) entries, per position."""
+    sums = {}
+    for pos, value in entries:
+        sums[pos] = sums.get(pos, 0) + value
+    return sums
+
+
+def reference_lamps(spec, sums):
+    """Canonical lamps from per-position integer sums: reduced mod the
+    order, identities dropped, positions sorted."""
+    reduced = {p: v % spec.order if spec.is_finite else v for p, v in sums.items()}
+    return tuple(sorted((p, v) for p, v in reduced.items() if v))
+
+
+@st.composite
+def raw_products(draw):
+    """Raw lamp entries and shifts of x and y: repeated positions, identity
+    and unreduced values allowed, and some of y's entries cancelling x's
+    lamps under x's shift."""
+    spec = draw(st.sampled_from((Z2, cyclic(3), cyclic(5), INTEGERS)))
+    entries = st.lists(st.tuples(st.integers(-8, 8), st.integers(-12, 12)), max_size=10)
+    raw_x, raw_y = draw(entries), draw(entries)
+    nx, ny = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    x_sums, y_sums = per_position(raw_x), per_position(raw_y)
+    if x_sums:
+        for pos in draw(st.sets(st.sampled_from(sorted(x_sums)))):
+            # y's entries at pos - nx now sum to minus x's lamp at pos
+            raw_y.append((pos - nx, -x_sums[pos] - y_sums.get(pos - nx, 0)))
+    return spec, raw_x, nx, raw_y, ny
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(raw_products())
+def test_of_and_product_match_a_per_position_reference(case):
+    spec, raw_x, nx, raw_y, ny = case
+    x, y = el(spec, raw_x, nx), el(spec, raw_y, ny)
+    x_sums, y_sums = per_position(raw_x), per_position(raw_y)
+    assert x == WreathElement(spec, reference_lamps(spec, x_sums), nx)
+    assert y == WreathElement(spec, reference_lamps(spec, y_sums), ny)
+    product = dict(x_sums)
+    for pos, value in y_sums.items():
+        product[pos + nx] = product.get(pos + nx, 0) + value
+    assert x * y == WreathElement(spec, reference_lamps(spec, product), nx + ny)
+
+
 def test_mul_examples():
     assert el(Z2, {0: 1}, 1) * el(Z2, {0: 1}, -1) == el(Z2, {0: 1, 1: 1}, 0)
     x = el(Z2, {-2: 1, 3: 1}, 2)

@@ -42,6 +42,7 @@ class Mutant:
 
 
 _ACT_TEST = ("tests/test_trees.py::test_act_matches_coset_composition",)
+_SPLICE_TESTS = (*_ACT_TEST, "tests/test_wreath.py::test_of_and_product_match_a_per_position_reference")
 _SAMPLER_REFERENCE = "tests/test_compression.py::test_sample_pairs_equal_per_step_reference"
 _CAYLEY_REFERENCE = "tests/test_oracles.py::test_bfs_equals_reference_expansion"
 
@@ -55,17 +56,37 @@ MUTANTS = (
     ),
     Mutant(
         "act-keeps-identity-values",
-        "src/wreathz/trees.py",
-        "        if x:\n            acc[q] = x\n        else:\n            del acc[q]\n",
-        "        acc[q] = x\n",
-        _ACT_TEST,
+        "src/wreathz/wreath.py",
+        "        if v:\n            acc[q] = v\n        else:\n            acc.pop(q, None)\n",
+        "        acc[q] = v\n",
+        _SPLICE_TESTS,
     ),
     Mutant(
         "act-tail-not-shifted",
-        "src/wreathz/trees.py",
-        "        q = pos + n\n",
+        "src/wreathz/wreath.py",
+        "        q = pos + shift\n",
         "        q = pos\n",
-        _ACT_TEST,
+        _SPLICE_TESTS,
+    ),
+    Mutant(
+        "cocycle-inner-vertex-on-minus",
+        "src/wreathz/embeddings.py",
+        "SignedEdge(b if up is plus else a)",
+        "SignedEdge(b if up else a)",
+        (
+            "tests/test_embeddings.py::test_iota_distance_is_sqrt_of_tree_distance",
+            "tests/test_golden.py::test_embedding_output_matches_golden_file",
+        ),
+    ),
+    Mutant(
+        "geom-edge-swaps-outer-and-inner",
+        "src/wreathz/vectors.py",
+        "            return GeomEdge(outer)\n",
+        "            return GeomEdge(inner)\n",
+        (
+            "tests/test_vectors.py::test_geometric_edge_uses_standard_convention",
+            "tests/test_golden.py::test_embedding_output_matches_golden_file",
+        ),
     ),
     Mutant(
         "sampler-left-step-byte",
