@@ -46,6 +46,7 @@ from .trees import (
     dist_from_base,
     format_vertex,
     geodesic,
+    geodesic_halves,
     vertex_of,
 )
 from .vectors import GeomEdge, LampCoord, SignedEdge, SparseVector, geom_edge
@@ -94,6 +95,7 @@ __all__ = [
     "format_vertex",
     "gamma_action_on_sum",
     "geodesic",
+    "geodesic_halves",
     "geom_edge",
     "iota",
     "parse_element",

@@ -149,6 +149,9 @@ def _cmd_properness(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    # checked before sampling, which `--emit samples` never buckets
+    if args.buckets < 0:
+        raise ValueError(f"buckets must be >= 0, got {args.buckets}")
     spec = parse_group(args.group)
     tree_mode = TreeMode.parse(args.tree_mode)
     h_mode = args.h_mode or _default_h_mode(spec)

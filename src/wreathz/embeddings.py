@@ -26,8 +26,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .basegroups import GroupSpec
-from .trees import TreeSide, TreeVertex, act, base_vertex, dist, dist_from_base, geodesic, vertex_of
-from .vectors import GeomEdge, LampCoord, SignedEdge, SparseVector, geom_edge
+from .trees import TreeSide, TreeVertex, act, base_vertex, dist, dist_from_base, geodesic_halves, vertex_of
+from .vectors import GeomEdge, LampCoord, SignedEdge, SparseVector
 from .wreath import WreathElement
 
 H_IDENTITY_LINE = "identity-line"
@@ -84,27 +84,22 @@ def weighted_tree_embed(v: TreeVertex, base: TreeVertex, eps) -> SparseVector:
     """Sum of k^eps charges on the geodesic edges from v to base, k = 1 at
     the edge adjacent to v.  Weights are irrational, so values are floats."""
     eps = TreeMode.guka(eps).eps
-    path = geodesic(v, base)
+    down, _, up = geodesic_halves(v, base)
     e = float(eps)
-    return SparseVector(
-        (geom_edge(path[k - 1], path[k]), float(k) ** e) for k in range(1, len(path))
-    )
+    return SparseVector((GeomEdge(w), float(k) ** e) for k, w in enumerate(down + up[::-1], 1))
 
 
 def cocycle(x: TreeVertex, y: TreeVertex) -> SparseVector:
     """Unit charge along the geodesic from x to y: +1 on each edge it climbs,
-    -1 on each edge it descends.
+    -1 on each edge it descends (x's half descends on T+, climbs on T-).
 
     Satisfies the chain rule c(x,y) + c(y,z) = c(x,z) and |c(x,y)|^2 = d(x,y),
     both exactly.
     """
-    path = geodesic(x, y)
-    plus = x.side is TreeSide.PLUS
-    items = []
-    for a, b in zip(path, path[1:]):
-        up = a.level < b.level
-        # the step's outer vertex: its upper end on T+, its lower end on T-
-        items.append((SignedEdge(b if up is plus else a), 1 if up else -1))
+    down, _, up = geodesic_halves(x, y)
+    s = 1 if x.side is TreeSide.PLUS else -1
+    items = [(SignedEdge(w), -s) for w in down]
+    items += [(SignedEdge(w), s) for w in reversed(up)]
     return SparseVector(items)
 
 

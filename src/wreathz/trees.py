@@ -36,8 +36,8 @@ class TreeSide(enum.Enum):
 class TreeVertex:
     """Canonical coset form: a level and the tail on one side of it.
 
-    The hash covers `(level, tail)` only, as `WreathElement`'s covers
-    `(lamps, shift)`: it skips the Python-level hashes of `spec` and `side`.
+    The hash covers `(level, tail)` only: it skips the Python-level hashes
+    of `spec` and `side`.
     Equality still compares them, so vertices of the two trees or of two
     base groups with the same level and tail collide yet stay distinct keys.
     """
@@ -104,20 +104,17 @@ def act(g: WreathElement, v: TreeVertex) -> TreeVertex:
     return TreeVertex(spec, v.side, level, canonical_lamps(spec, v.tail, n, acc))
 
 
-def _require_same_tree(u: TreeVertex, v: TreeVertex):
-    if u.side is not v.side:
-        raise ValueError(f"vertices lie in different trees: {u.side.value} vs {v.side.value}")
-    if u.spec != v.spec:
-        raise ValueError(f"mismatched group specs: {u.spec} vs {v.spec}")
-
-
 def meet_level(u: TreeVertex, v: TreeVertex) -> int:
     """Level of the meet: the deepest common restriction of the two vertices.
 
     On the plus side this is min(level_u, level_v, first position where the
     tails disagree); the minus side mirrors with max and last position.
+    Raises ValueError for vertices of different trees or base groups.
     """
-    _require_same_tree(u, v)
+    if u.side is not v.side:
+        raise ValueError(f"vertices lie in different trees: {u.side.value} vs {v.side.value}")
+    if u.spec != v.spec:
+        raise ValueError(f"mismatched group specs: {u.spec} vs {v.spec}")
     du, dv = dict(u.tail), dict(v.tail)
     diffs = [p for p in du.keys() | dv.keys() if du.get(p) != dv.get(p)]
     if u.side is TreeSide.PLUS:
@@ -179,15 +176,21 @@ def _descent(v: TreeVertex, target_level: int) -> list[TreeVertex]:
     return out
 
 
+def geodesic_halves(u: TreeVertex, v: TreeVertex) -> tuple[list[TreeVertex], TreeVertex, list[TreeVertex]]:
+    """The geodesic from u to v as (down, meet, up): the descents of u and of
+    v to their meet, without it.  A descent vertex is the outer end of the
+    edge it steps down (upper on T+, lower on T-), so `down` and `up` are the
+    geodesic's edge keys."""
+    k = meet_level(u, v)
+    *down, meet = _descent(u, k)
+    return down, meet, _descent(v, k)[:-1]
+
+
 def geodesic(u: TreeVertex, v: TreeVertex) -> list[TreeVertex]:
     """The unique geodesic from u to v: u descends to the meet, then climbs
     to v along the reversed descent of v."""
-    _require_same_tree(u, v)
-    k = meet_level(u, v)
-    down = _descent(u, k)
-    up = _descent(v, k)
-    up.pop()  # the meet is already the last vertex of the descent from u
-    return down + up[::-1]
+    down, meet, up = geodesic_halves(u, v)
+    return [*down, meet, *reversed(up)]
 
 
 def dist_from_base(x: WreathElement, side: TreeSide) -> int:

@@ -57,9 +57,7 @@ class WreathElement:
     """An element (lamps, shift) of H wr Z in canonical form.
 
     Construct through `of` (which canonicalizes) unless the inputs are
-    already canonical.  Slotted: Cayley balls hold ~10^5 of these.  The hash
-    ignores `spec` (equality does not), so it skips GroupSpec's Python-level
-    hash; `__hash__` itself is still one Python call.
+    already canonical.  Slotted: Cayley balls hold ~10^5 of these.
     """
 
     spec: GroupSpec
@@ -72,9 +70,6 @@ class WreathElement:
         _set_spec(self, spec)
         _set_lamps(self, lamps)
         _set_shift(self, shift)
-
-    def __hash__(self) -> int:
-        return hash((self.lamps, self.shift))
 
     @classmethod
     def of(
@@ -195,5 +190,4 @@ def parse_element(spec: GroupSpec, text: str) -> WreathElement:
     sc.skip_ws()
     if sc.pos != len(text):
         raise ParseError("unexpected trailing input", text, sc.pos)
-    lamps = tuple((p, spec.normalize(v)) for p, v in entries)
-    return WreathElement(spec, tuple((p, v) for p, v in lamps if v), shift)
+    return WreathElement.of(spec, entries, shift)

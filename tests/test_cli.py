@@ -66,14 +66,17 @@ def test_bad_oracle_inputs_are_usage_errors(capsys, monkeypatch):
     assert code == 2 and "budget must be >= 1" in err
 
 
-def test_bad_sampler_inputs_are_usage_errors(capsys):
+def test_bad_sampler_inputs_are_usage_errors(capsys, monkeypatch):
     base = ["compress", "--group", "Z/2", "--count", "50", "--scale"]
     code, out, err = run(capsys, *base, "-1")
     assert (code, out) == (2, "")
     assert "scale must be >= 0" in err
-    code, out, err = run(capsys, *base, "40", "--buckets", "-2")
-    assert (code, out) == (2, "")
-    assert "buckets must be >= 0" in err
+    # a bad bucket count is rejected before any sampling, whatever is emitted
+    monkeypatch.setattr("wreathz.cli.sample_pairs", lambda *args: pytest.fail("sampled before the check"))
+    for emit in ("fit", "samples", "envelope"):
+        code, out, err = run(capsys, *base, "40", "--buckets", "-2", "--emit", emit)
+        assert (code, out) == (2, "")
+        assert "buckets must be >= 0" in err
 
 
 def test_ball_csv(capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from wreathz import (
     DistortionSample,
     H_DIRAC_SIMPLEX,
     H_IDENTITY_LINE,
+    SignedEdge,
     SparseVector,
     TreeMode,
     TreeSide,
@@ -25,6 +27,8 @@ from wreathz import (
     dist_from_base,
     embedded_distance,
     gamma_action_on_sum,
+    geodesic,
+    geom_edge,
     iota,
     sigma,
     vertex_of,
@@ -125,6 +129,53 @@ def test_cocycle_identities_random():
             x, y, z = (vertex_of(random_element(Z2, rng), side) for _ in range(3))
             assert cocycle(x, y) + cocycle(y, z) == cocycle(x, z)
             assert cocycle(x, y).norm_squared() == dist(x, y)
+
+
+@st.composite
+def tree_pairs(draw):
+    """Two vertices of one tree over Z/2, Z/3 or Z, cosets of elements that
+    share most lamps, so the meet falls at, between or below both."""
+    spec = draw(st.sampled_from((Z2, cyclic(3), INTEGERS)))
+    values = [w for w in spec.ball(2) if w]
+    side = draw(st.sampled_from(list(TreeSide)))
+    shared = draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(values), max_size=8))
+    own = st.dictionaries(st.integers(-6, 6), st.sampled_from(values), max_size=2)
+    return [vertex_of(el(spec, shared | draw(own), draw(st.integers(-7, 7))), side) for _ in range(2)]
+
+
+def reference_cocycle(x, y):
+    """The per-step rule: walk the geodesic and charge each step +1 up a
+    level, -1 down, on the edge keyed by the step's outer vertex (its upper
+    end on T+, its lower end on T-)."""
+    plus = x.side is PLUS
+    items = []
+    for a, b in pairwise(geodesic(x, y)):
+        up = a.level < b.level
+        items.append((SignedEdge(b if up is plus else a), 1 if up else -1))
+    return SparseVector(items)
+
+
+def reference_weighted_embed(v, base, eps):
+    """Weight k^eps on the k-th geodesic step from v, each step's edge built
+    from its two vertices."""
+    path = geodesic(v, base)
+    return SparseVector((geom_edge(a, b), float(k) ** float(eps)) for k, (a, b) in enumerate(pairwise(path), 1))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(tree_pairs())
+def test_cocycle_equals_the_per_step_reference(pair):
+    x, y = pair
+    assert list(cocycle(x, y).items()) == list(reference_cocycle(x, y).items())
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(tree_pairs(), st.sampled_from((Fraction(1, 4), Fraction(1, 2))))
+def test_weighted_embed_equals_the_per_step_reference(pair, eps):
+    # the same keys, weights and order, so float sums come out bit-identical
+    v, base = pair
+    got = list(weighted_tree_embed(v, base, eps).items())
+    assert got == list(reference_weighted_embed(v, base, eps).items())
 
 
 def test_iota_examples():

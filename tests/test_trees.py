@@ -1,4 +1,5 @@
 import random
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from wreathz import (
     dist_from_base,
     format_vertex,
     geodesic,
+    geodesic_halves,
     geom_edge,
     vertex_of,
 )
@@ -311,6 +313,29 @@ def test_descent_iterates_spine_step(case, steps):
     target = v.level - steps if plus else v.level + steps
     assert _descent(v, target) == want
     assert [dist(v, w) for w in want] == list(range(steps + 1))
+
+
+@st.composite
+def vertex_pairs(draw):
+    """Two vertices of one tree over Z/2, Z/3 or Z, cosets of elements that
+    share most lamps, so the meet falls at, between or below both."""
+    spec = draw(st.sampled_from((Z2, cyclic(3), INTEGERS)))
+    values = [w for w in spec.ball(VALUE_RADIUS) if w]
+    side = draw(st.sampled_from(list(TreeSide)))
+    shared = draw(st.dictionaries(st.integers(-6, 6), st.sampled_from(values), max_size=8))
+    own = st.dictionaries(st.integers(-6, 6), st.sampled_from(values), max_size=2)
+    return [vertex_of(WreathElement.of(spec, shared | draw(own), draw(st.integers(-7, 7))), side) for _ in range(2)]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(vertex_pairs())
+def test_geodesic_halves_are_the_outer_ends_of_its_edges(pair):
+    # checked against the independent two-vertex boundary builder
+    u, v = pair
+    down, meet, up = geodesic_halves(u, v)
+    assert [geom_edge(a, b).outer for a, b in pairwise(geodesic(u, v))] == down + up[::-1]
+    assert meet.level == meet_level(u, v) and len(down) + len(up) == dist(u, v)
+    assert geodesic_halves(v, u) == (up, meet, down)
 
 
 def test_meet_level_symmetric():

@@ -153,7 +153,7 @@ def test_lamp_cost_across_the_diameter_one_cut_off():
 
 
 def test_equal_lamps_and_shift_over_different_specs_are_distinct():
-    # the hash ignores the spec, so these collide; equality must still split them
+    # equal lamps and shift over two base groups are two elements and two keys
     x, y = WreathElement(cyclic(3), ((0, 1),), 0), WreathElement(cyclic(5), ((0, 1),), 0)
     assert x != y and len({x, y}) == 2 and len({x: 0, y: 1}) == 2
 

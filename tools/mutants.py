@@ -69,12 +69,22 @@ MUTANTS = (
         _SPLICE_TESTS,
     ),
     Mutant(
-        "cocycle-inner-vertex-on-minus",
+        "cocycle-down-charge-flipped-on-minus",
         "src/wreathz/embeddings.py",
-        "SignedEdge(b if up is plus else a)",
-        "SignedEdge(b if up else a)",
+        "    items = [(SignedEdge(w), -s) for w in down]\n",
+        "    items = [(SignedEdge(w), -1) for w in down]\n",
         (
-            "tests/test_embeddings.py::test_iota_distance_is_sqrt_of_tree_distance",
+            "tests/test_embeddings.py::test_cocycle_identities_random",
+            "tests/test_embeddings.py::test_cocycle_equals_the_per_step_reference",
+        ),
+    ),
+    Mutant(
+        "weighted-halves-not-reversed",
+        "src/wreathz/embeddings.py",
+        "enumerate(down + up[::-1], 1)",
+        "enumerate(down + up, 1)",
+        (
+            "tests/test_embeddings.py::test_weighted_embed_equals_the_per_step_reference",
             "tests/test_golden.py::test_embedding_output_matches_golden_file",
         ),
     ),
@@ -85,7 +95,7 @@ MUTANTS = (
         "            return GeomEdge(inner)\n",
         (
             "tests/test_vectors.py::test_geometric_edge_uses_standard_convention",
-            "tests/test_golden.py::test_embedding_output_matches_golden_file",
+            "tests/test_trees.py::test_geodesic_halves_are_the_outer_ends_of_its_edges",
         ),
     ),
     Mutant(
