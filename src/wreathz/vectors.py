@@ -35,8 +35,7 @@ class GeomEdge:
 def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
     """The edge between two adjacent vertices of one tree; raises ValueError
     for vertices of different trees or base groups, or not adjacent."""
-    # `is` first: GroupSpec equality is Python code.
-    if u.side is not v.side or (u.spec is not v.spec and u.spec != v.spec):
+    if u.side is not v.side or u.spec != v.spec:
         raise ValueError("edge endpoints must lie in the same tree")
     plus = u.side is TreeSide.PLUS
     for outer, inner in ((u, v), (v, u)):
