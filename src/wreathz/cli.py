@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .basegroups import ParseError, parse_group
 from .compression import bounds, fit_envelope, lower_envelope, sample_pairs
-from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, H_MODES, TreeMode, sigma
+from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, TreeMode, sigma
 from .oracles import BudgetError, ball_sizes, cayley_bfs, properness_check
 from .trees import TreeSide, dist_from_base, format_vertex, vertex_of
 from .vectors import format_value
@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="dump the embedded vector of an element")
     add_group(p)
     p.add_argument("--tree-mode", default="cocycle", help="cocycle or guka:EPS")
-    p.add_argument("--h-mode", default=None, choices=H_MODES)
     p.add_argument("element")
 
     p = sub.add_parser("ball", help="cumulative Cayley ball sizes")
@@ -59,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_group(p)
     p.add_argument("--radius", required=True, help="metric radius (integer or fraction)")
     p.add_argument("--p", type=int, default=1, help="product metric exponent")
-    p.add_argument("--h-mode", default=None, choices=H_MODES)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--format", default="text", choices=("text", "csv"))
 
@@ -69,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=int, default=1000)
     p.add_argument("--count", type=int, default=100_000)
     p.add_argument("--tree-mode", default="cocycle", help="cocycle or guka:EPS")
-    p.add_argument("--h-mode", default=None, choices=H_MODES)
     p.add_argument("--buckets", type=int, default=0)
     p.add_argument("--emit", default="fit", choices=("fit", "samples", "envelope"))
 
@@ -112,8 +109,7 @@ def _cmd_embed(args) -> int:
     spec = parse_group(args.group)
     x = parse_element(spec, args.element)
     tree_mode = TreeMode.parse(args.tree_mode)
-    h_mode = args.h_mode or _default_h_mode(spec)
-    vec = sigma(x, tree_mode, h_mode)
+    vec = sigma(x, tree_mode, _default_h_mode(spec))
     for line in vec.dump_lines():
         print(line)
     print(f"norm2\t{format_value(vec.norm_squared())}")
@@ -136,8 +132,7 @@ def _cmd_ball(args) -> int:
 
 def _cmd_properness(args) -> int:
     spec = parse_group(args.group)
-    h_mode = args.h_mode or _default_h_mode(spec)
-    report = properness_check(spec, Fraction(args.radius), args.p, h_mode, budget=args.budget)
+    report = properness_check(spec, Fraction(args.radius), args.p, _default_h_mode(spec), budget=args.budget)
     if args.format == "csv":
         print("key,value")
         for line in report.lines():
@@ -154,19 +149,18 @@ def _cmd_compress(args) -> int:
         raise ValueError(f"buckets must be >= 0, got {args.buckets}")
     spec = parse_group(args.group)
     tree_mode = TreeMode.parse(args.tree_mode)
-    h_mode = args.h_mode or _default_h_mode(spec)
-    samples = sample_pairs(spec, tree_mode, h_mode, args.scale, args.count, args.seed)
+    samples = sample_pairs(spec, tree_mode, _default_h_mode(spec), args.scale, args.count, args.seed)
     if args.emit == "samples":
         print("wordLength,embeddedDist")
         for s in samples:
             print(f"{s.word_length},{s.embedded_dist:.12f}")
         return 0
-    fit = fit_envelope(samples, args.buckets)
     if args.emit == "envelope":
         print("bucket,minDist")
-        for wl, d in lower_envelope(samples):
+        for wl, d in lower_envelope(samples, args.buckets):
             print(f"{wl},{d:.12f}")
         return 0
+    fit = fit_envelope(samples, args.buckets)
     print(f"exponent={fit.exponent:.12f}")
     print(f"lower_constant={fit.lower_constant:.12f}")
     print(f"samples={fit.sample_count}")

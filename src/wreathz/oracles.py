@@ -258,11 +258,18 @@ class PropernessReport:
         ]
 
 
-def _max_lamp_sum(budget: int, positions: int, p: int, sizes: list[int]) -> int:
-    """Max total size over at most `positions` lamps, each of one of the
-    ascending `sizes`, with sum(size^p) <= budget; small bounded knapsack."""
+def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int, h_mode: str) -> int:
+    """A word-length bound covering every element that moves the base point
+    at most `radius`: maximize d+ + d- + sum of lamp displacements over the
+    feasible component combinations (word length never exceeds d+ + d- plus
+    the lamp lengths, and a lamp's length never exceeds its displacement).
+    One bounded knapsack over the 2r + 1 lamp positions fills best[c], the
+    max lamp total with sum(size^p) <= c, for every budget c <= floor(R^p)."""
+    r = int(radius)
+    budget = int(Fraction(radius) ** p)
+    sizes = sorted({lamp_displacement(spec, v, h_mode) for v in _value_ball(spec, radius, h_mode)})
     best = [0] * (budget + 1)
-    for _ in range(positions):
+    for _ in range(2 * r + 1):
         nxt = best[:]
         for c in range(budget + 1):
             for size in sizes:
@@ -272,25 +279,10 @@ def _max_lamp_sum(budget: int, positions: int, p: int, sizes: list[int]) -> int:
                 if best[c] + size > nxt[cost]:
                     nxt[cost] = best[c] + size
         best = nxt
-    return max(best)
-
-
-def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int, h_mode: str) -> int:
-    """A word-length bound covering every element that moves the base point
-    at most `radius`: maximize d+ + d- + sum of lamp displacements over the
-    feasible component combinations (word length never exceeds d+ + d- plus
-    the lamp lengths, and a lamp's length never exceeds its displacement)."""
-    r = int(radius)
-    rp = Fraction(radius) ** p
-    npos = 2 * r + 1
-    sizes = sorted({lamp_displacement(spec, v, h_mode) for v in _value_ball(spec, radius, h_mode)})
-    best = r
-    for dp in range(r + 1):
-        for dm in range(r + 1):
-            rem = rp - dp**p - dm**p
-            if rem >= 0:
-                best = max(best, dp + dm + _max_lamp_sum(int(rem), npos, p, sizes))
-    return best
+    # best starts at zeros and each round maxes nondecreasing terms, so it is
+    # nondecreasing in c: best[rem] is already the max over budgets <= rem
+    pairs = [(dp, dm) for dp in range(r + 1) for dm in range(r + 1) if dp**p + dm**p <= budget]
+    return max((dp + dm + best[budget - dp**p - dm**p] for dp, dm in pairs), default=r)
 
 
 def _value_ball(spec: GroupSpec, radius: Fraction, h_mode: str) -> tuple[int, ...]:
@@ -304,8 +296,7 @@ def _superset_members(spec: GroupSpec, radius: Fraction, limit: int, costs: dict
     cost already exceeds `limit`, the integer metric bound, are pruned early;
     pruning only discards candidates the distance filter would reject anyway."""
     r = int(radius)
-    positions = list(range(-r, r + 1))
-    shifts = list(range(-r, r + 1))
+    positions = list(range(-r, r + 1))  # also the shifts
     examined = 0
 
     def rec(idx: int, lamps: list[tuple[int, int]], cost: int):
@@ -314,7 +305,7 @@ def _superset_members(spec: GroupSpec, radius: Fraction, limit: int, costs: dict
         if examined > budget:
             raise BudgetError(f"properness enumeration outgrew the element budget ({budget})")
         if idx == len(positions):
-            for n in shifts:
+            for n in positions:
                 yield WreathElement(spec, tuple(lamps), n)
             return
         yield from rec(idx + 1, lamps, cost)
@@ -328,10 +319,10 @@ def _superset_members(spec: GroupSpec, radius: Fraction, limit: int, costs: dict
     yield from rec(0, [], 0)
 
 
-def _members_within(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None):
-    """Validate the inputs and return (radius, p, limit, members): the integer
-    bound on d(z, gamma z)^p and the elements of the candidate family within
-    it, yielded lazily."""
+def _properness(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None):
+    """Validate the inputs and filter the candidate family once.  Returns
+    (report, limit, members): the report, the integer bound on
+    d(z, gamma z)^p and the set of candidates within it."""
     if p < 1 or int(p) != p:
         raise ValueError(f"the exponent must be an integer >= 1, got {p}")
     p = int(p)
@@ -342,27 +333,14 @@ def _members_within(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | 
     # An integer D is at most R^p = a^p / b^p exactly when b^p * D <= a^p,
     # that is when D <= a^p // b^p.
     limit = radius.numerator**p // radius.denominator**p
-    costs = _factor_costs_pth(spec, _value_ball(spec, radius, h_mode), p, h_mode)
-    candidates = _superset_members(spec, radius, limit, costs, element_budget(budget))
-    members = (item for item in candidates if _distance_pth(item, p, costs) <= limit)
-    return radius, p, limit, members
-
-
-def _properness_report(spec: GroupSpec, radius: Fraction, p: int, h_mode: str, count: int) -> PropernessReport:
-    r = int(radius)
     value_ball = _value_ball(spec, radius, h_mode)
+    costs = _factor_costs_pth(spec, value_ball, p, h_mode)
+    candidates = _superset_members(spec, radius, limit, costs, element_budget(budget))
+    members = {x for x in candidates if _distance_pth(x, p, costs) <= limit}
+    r = int(radius)
     box = (len(value_ball) + 1) ** (2 * r + 1) * (2 * r + 1)
-    return PropernessReport(
-        group=str(spec),
-        radius=radius,
-        p=p,
-        h_mode=h_mode,
-        count=count,
-        candidate_count=box,
-        shift_bound=r,
-        support_bound=r,
-        value_ball=value_ball,
-    )
+    report = PropernessReport(str(spec), radius, p, h_mode, len(members), box, r, r, value_ball)
+    return report, limit, members
 
 
 def properness_check(
@@ -374,8 +352,7 @@ def properness_check(
     Exactness needs an integer exponent; the two trees always carry the
     graph metric.
     """
-    radius, p, _, members = _members_within(spec, radius, p, h_mode, budget)
-    return _properness_report(spec, radius, p, h_mode, sum(1 for _ in members))
+    return _properness(spec, radius, p, h_mode, budget)[0]
 
 
 def properness_cross_check(
@@ -384,11 +361,9 @@ def properness_cross_check(
     """Two-sided count: the candidate-family filter against an exhaustive
     scan of the Cayley ball whose radius provably covers every solution.
     Returns (report, ball-scan count, sets agree)."""
-    radius, p, limit, members = _members_within(spec, radius, p, h_mode, budget)
-    filtered = set(members)
-    report = _properness_report(spec, radius, p, h_mode, len(filtered))
-    scan_radius = properness_search_radius(spec, radius, p, h_mode)
+    report, limit, members = _properness(spec, radius, p, h_mode, budget)
+    scan_radius = properness_search_radius(spec, report.radius, report.p, h_mode)
     ball = cayley_bfs(spec, scan_radius, budget)
-    costs = _factor_costs_pth(spec, spec.ball(scan_radius), p, h_mode)
-    from_ball = {x for x in ball if _distance_pth(x, p, costs) <= limit}
-    return report, len(from_ball), filtered == from_ball
+    costs = _factor_costs_pth(spec, spec.ball(scan_radius), report.p, h_mode)
+    from_ball = {x for x in ball if _distance_pth(x, report.p, costs) <= limit}
+    return report, len(from_ball), members == from_ball

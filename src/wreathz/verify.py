@@ -214,10 +214,7 @@ def check_travel_table(cfg: VerifyConfig):
                 return False, f"row {row + 1} fails at (n={n}, m={m}, M={M})"
             lamps = ((m, 1),) if m == M else ((m, 1), (M, 1))
             x = WreathElement(spec, lamps, n)
-            dp = dist_from_base(x, TreeSide.PLUS)
-            dm = dist_from_base(x, TreeSide.MINUS)
-            lz = travel_length(n, m, M)
-            if not (max(dp, dm) <= lz <= dp + dm):
+            if not _travel_sandwiched(x, *(dist_from_base(x, side) for side in TreeSide), set()):
                 return False, f"row {row + 1} sandwich fails at (n={n}, m={m}, M={M})"
     return True, "8 regions x 20 seeded triples, exact, sandwich included"
 

@@ -154,9 +154,23 @@ def test_compress_fit_and_samples(capsys):
     samples = sample_pairs(cyclic(2), TreeMode.cocycle(), H_DIRAC_SIMPLEX, 60, 400, 5)
     points = lower_envelope(samples)
     assert out4.splitlines()[1:] == [f"{wl},{d:.12f}" for wl, d in points]
-    # the envelope stays per length whatever --buckets says
-    code, out5, _ = run(capsys, *args, "--emit", "envelope", "--buckets", "4")
-    assert (code, out5) == (0, out4)
+
+
+def test_compress_envelope_honours_buckets(capsys):
+    args = ["compress", "--group", "Z/2", "--count", "200", "--scale", "50", "--emit", "envelope"]
+    code, per_length, _ = run(capsys, *args)
+    assert code == 0
+    code, out, _ = run(capsys, *args, "--buckets", "3")
+    assert code == 0 and out != per_length
+    samples = sample_pairs(cyclic(2), TreeMode.cocycle(), H_DIRAC_SIMPLEX, 50, 200, 1)
+    assert out.splitlines() == ["bucket,minDist"] + [f"{wl},{d:.12f}" for wl, d in lower_envelope(samples, 3)]
+
+
+def test_compress_envelope_of_one_sample(capsys):
+    # the envelope needs no fit, so one usable sample prints one row
+    code, out, err = run(capsys, "compress", "--group", "Z/2", "--count", "1", "--scale", "50", "--emit", "envelope")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2
 
 
 def test_bounds_command(capsys):

@@ -26,9 +26,10 @@ from wreathz import (
     vertex_of,
 )
 from wreathz import oracles
+from wreathz.embeddings import lamp_displacement
 from wreathz.oracles import (
     _factor_costs_pth,
-    _members_within,
+    _properness,
     product_distance_pth,
     properness_search_radius,
 )
@@ -413,6 +414,44 @@ def test_search_radius_covers_solutions():
                         assert x.word_length() <= scan
 
 
+def reference_search_radius(spec, radius, p, h_mode):
+    """The scan radius with one bounded knapsack per feasible (d+, d-), each
+    over that pair's remaining budget and read through `max`."""
+    r = int(radius)
+    rp = Fraction(radius) ** p
+    values = [v for v in spec.ball(r) if v and lamp_displacement(spec, v, h_mode) <= radius]
+    sizes = sorted({lamp_displacement(spec, v, h_mode) for v in values})
+    best = r
+    for dp in range(r + 1):
+        for dm in range(r + 1):
+            rem = rp - dp**p - dm**p
+            if rem < 0:
+                continue
+            budget = int(rem)
+            table = [0] * (budget + 1)
+            for _ in range(2 * r + 1):
+                nxt = table[:]
+                for c in range(budget + 1):
+                    for size in sizes:
+                        if c + size**p <= budget:
+                            nxt[c + size**p] = max(nxt[c + size**p], table[c] + size)
+                table = nxt
+            best = max(best, dp + dm + max(table))
+    return best
+
+
+@pytest.mark.parametrize(
+    "spec, h_mode",
+    [(INTEGERS, H_IDENTITY_LINE)] + [(cyclic(k), H_DIRAC_SIMPLEX) for k in (2, 3, 4, 5, 6, 7, 9)],
+    ids=str,
+)
+def test_search_radius_equals_the_per_pair_knapsack(spec, h_mode):
+    for a, b, p in product(range(9), (1, 2, 3, 5), (1, 2, 3)):
+        radius = Fraction(a, b)
+        got = properness_search_radius(spec, radius, p, h_mode)
+        assert got == reference_search_radius(spec, radius, p, h_mode), (radius, p)
+
+
 @pytest.mark.parametrize(
     "spec, h_mode, radii",
     [
@@ -436,7 +475,8 @@ def test_integer_filter_matches_fraction_filter(spec, h_mode, radii):
         ]
         for p in (1, 2, 3):
             want = {x for x in box if product_distance_pth(x, p, h_mode) <= radius**p}
-            _, _, _, members = _members_within(spec, radius, p, h_mode, None)
-            assert set(members) == want, (text, p)
+            report, limit, members = _properness(spec, radius, p, h_mode, None)
+            assert members == want and report.count == len(want), (text, p)
+            assert limit == int(radius**p), (text, p)
             report, scanned, agree = properness_cross_check(spec, radius, p, h_mode)
             assert agree and report.count == scanned == len(want)

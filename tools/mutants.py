@@ -154,6 +154,24 @@ MUTANTS = (
         "        return (WreathElement(self._spec, lamps, n + 1) for lamps, n in self._raw)\n",
         ("tests/test_oracles.py::test_ball_views_agree_in_discovery_order", _CAYLEY_REFERENCE),
     ),
+    Mutant(
+        "properness-filter-strict",
+        "src/wreathz/oracles.py",
+        "members = {x for x in candidates if _distance_pth(x, p, costs) <= limit}",
+        "members = {x for x in candidates if _distance_pth(x, p, costs) < limit}",
+        (
+            "tests/test_oracles.py::test_properness_counts_frozen",
+            "tests/test_oracles.py::test_integer_filter_matches_fraction_filter",
+        ),
+    ),
+    Mutant(
+        "search-radius-one-lamp-position-short",
+        "src/wreathz/oracles.py",
+        "    for _ in range(2 * r + 1):\n",
+        "    for _ in range(2 * r):\n",
+        # the cross-checks' scan radius has slack, so only the reference catches this
+        ("tests/test_oracles.py::test_search_radius_equals_the_per_pair_knapsack",),
+    ),
 )
 
 
