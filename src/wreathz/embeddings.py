@@ -32,7 +32,6 @@ from .wreath import WreathElement
 
 H_IDENTITY_LINE = "identity-line"
 H_DIRAC_SIMPLEX = "dirac-simplex"
-H_MODES = (H_IDENTITY_LINE, H_DIRAC_SIMPLEX)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,10 @@ Everything here is deliberately independent of the closed forms it checks:
 word lengths come from layer-by-layer expansion over the standard
 generators, tree distances from a layered search using only adjacency,
 and properness counts from filtering a finite candidate family by the exact
-product metric.  All searches carry an element budget (default 10^7,
-overridable via the WREATHZ_ELEMENT_BUDGET environment variable).  It is a
-hard cap: a search fails loudly instead of storing one element more.
+product metric.  Every search stores through one layer step, `_grow`, under
+an element budget (default 10^7, overridable via the WREATHZ_ELEMENT_BUDGET
+environment variable).  It is a hard cap: a search fails loudly instead of
+storing one element more.
 """
 
 from __future__ import annotations
@@ -232,7 +233,9 @@ def product_distance_pth(x: WreathElement, p: int, h_mode: str) -> int:
 
 @dataclass(frozen=True)
 class PropernessReport:
-    """Exact count of group elements moving the base point at most `radius`."""
+    """Exact count of group elements moving the base point at most `radius`;
+    `candidate_count` is the size of the finiteness box (shift and support
+    within [-r, r], values in `value_ball`), not what the search stores."""
 
     group: str
     radius: Fraction
@@ -262,14 +265,17 @@ def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int, h_mode: 
     """A word-length bound covering every element that moves the base point
     at most `radius`: maximize d+ + d- + sum of lamp displacements over the
     feasible component combinations (word length never exceeds d+ + d- plus
-    the lamp lengths, and a lamp's length never exceeds its displacement).
-    One bounded knapsack over the 2r + 1 lamp positions fills best[c], the
-    max lamp total with sum(size^p) <= c, for every budget c <= floor(R^p)."""
+    the lamp lengths, a lamp's length never exceeds its displacement, and a
+    support inside [-d+, d-] holds at most d+ + d- + 1 lamps).  One bounded
+    knapsack over the 2r + 1 lamp positions keeps each round's row: rows[k][c]
+    is the max total of at most k lamps with sum(size^p) <= c, for every
+    budget c <= floor(R^p)."""
     r = int(radius)
     budget = int(Fraction(radius) ** p)
     sizes = sorted({lamp_displacement(spec, v, h_mode) for v in _value_ball(spec, radius, h_mode)})
-    best = [0] * (budget + 1)
+    rows = [[0] * (budget + 1)]
     for _ in range(2 * r + 1):
+        best = rows[-1]
         nxt = best[:]
         for c in range(budget + 1):
             for size in sizes:
@@ -278,51 +284,25 @@ def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int, h_mode: 
                     break
                 if best[c] + size > nxt[cost]:
                     nxt[cost] = best[c] + size
-        best = nxt
-    # best starts at zeros and each round maxes nondecreasing terms, so it is
-    # nondecreasing in c: best[rem] is already the max over budgets <= rem
+        rows.append(nxt)
+    # rows start at zeros and each round maxes nondecreasing terms, so each
+    # row is nondecreasing in c: rows[k][rem] is already the max over budgets <= rem
     pairs = [(dp, dm) for dp in range(r + 1) for dm in range(r + 1) if dp**p + dm**p <= budget]
-    return max((dp + dm + best[budget - dp**p - dm**p] for dp, dm in pairs), default=r)
+    return max(dp + dm + rows[dp + dm + 1][budget - dp**p - dm**p] for dp, dm in pairs)
 
 
 def _value_ball(spec: GroupSpec, radius: Fraction, h_mode: str) -> tuple[int, ...]:
     return tuple(v for v in spec.ball(int(radius)) if v and lamp_displacement(spec, v, h_mode) <= radius)
 
 
-def _superset_members(spec: GroupSpec, radius: Fraction, limit: int, costs: dict[int, int], budget: int):
-    """Enumerate the candidate family of the finiteness argument: shifts and
-    support within [-R, R], values in the factor ball (the keys of `costs`,
-    which maps each to its lamp_displacement^p).  Configurations whose lamp
-    cost already exceeds `limit`, the integer metric bound, are pruned early;
-    pruning only discards candidates the distance filter would reject anyway."""
-    r = int(radius)
-    positions = list(range(-r, r + 1))  # also the shifts
-    examined = 0
-
-    def rec(idx: int, lamps: list[tuple[int, int]], cost: int):
-        nonlocal examined
-        examined += 1
-        if examined > budget:
-            raise BudgetError(f"properness enumeration outgrew the element budget ({budget})")
-        if idx == len(positions):
-            for n in positions:
-                yield WreathElement(spec, tuple(lamps), n)
-            return
-        yield from rec(idx + 1, lamps, cost)
-        for v, cost_v in costs.items():
-            c = cost + cost_v
-            if c <= limit:
-                lamps.append((positions[idx], v))
-                yield from rec(idx + 1, lamps, c)
-                lamps.pop()
-
-    yield from rec(0, [], 0)
-
-
 def _properness(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None):
     """Validate the inputs and filter the candidate family once.  Returns
     (report, limit, members): the report, the integer bound on
-    d(z, gamma z)^p and the set of candidates within it."""
+    d(z, gamma z)^p and the set of candidates within it: each shift in
+    [-r, r] with each lamp configuration grown through `_grow`, one more lamp
+    at position q = -r..r a layer, while lamp cost plus the tree distance the
+    support forces, (-lo)_+^p + (hi)_+^p, stays within the limit.  A support
+    lies inside [-d+, d-], so no prefix of a member's lamps is pruned."""
     if p < 1 or int(p) != p:
         raise ValueError(f"the exponent must be an integer >= 1, got {p}")
     p = int(p)
@@ -335,9 +315,23 @@ def _properness(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None
     limit = radius.numerator**p // radius.denominator**p
     value_ball = _value_ball(spec, radius, h_mode)
     costs = _factor_costs_pth(spec, value_ball, p, h_mode)
-    candidates = _superset_members(spec, radius, limit, costs, element_budget(budget))
-    members = {x for x in candidates if _distance_pth(x, p, costs) <= limit}
+    budget = element_budget(budget)
     r = int(radius)
+    positions = range(-r, r + 1)  # also the shifts
+
+    def with_lamp_at(q: int, lamps: tuple) -> list[tuple]:
+        lo = lamps[0][0] if lamps else q
+        room = limit - max(0, -lo) ** p - max(0, q) ** p - sum(map(costs.__getitem__, map(_value, lamps)))
+        return [lamps + ((q, v),) for v, cost in costs.items() if cost <= room]
+
+    configs = {(): 0}
+    for q in positions:
+        try:
+            _grow(configs, list(configs), q, partial(with_lamp_at, q), budget)
+        except BudgetError as err:
+            raise BudgetError(f"properness search outgrew the element budget {err} at lamp position {q}") from None
+    candidates = (WreathElement(spec, lamps, n) for lamps in configs for n in positions)
+    members = {x for x in candidates if _distance_pth(x, p, costs) <= limit}
     box = (len(value_ball) + 1) ** (2 * r + 1) * (2 * r + 1)
     report = PropernessReport(str(spec), radius, p, h_mode, len(members), box, r, r, value_ball)
     return report, limit, members

@@ -49,6 +49,12 @@ def test_budget_error_gives_exit_3(capsys):
     code, _, err = run(capsys, "ball", "--group", "Z/2", "--radius", "9", "--budget", "50")
     assert code == 3
     assert "budget" in err
+    argv = ("properness", "--group", "Z/2", "--radius", "10", "--budget")
+    code, out, err = run(capsys, *argv, "508")
+    assert code == 3 and out == ""
+    assert err.startswith("budget error: properness search") and "(509 > 508)" in err
+    code, out, _ = run(capsys, *argv, "509")
+    assert code == 0 and "count=297" in out.splitlines()
 
 
 def test_bad_oracle_inputs_are_usage_errors(capsys, monkeypatch):

@@ -365,6 +365,18 @@ def test_properness_counts_frozen():
     }
     assert [got[(1, r)] for r in (1, 2, 3, 4)] == [2, 4, 10, 16]
     assert [got[(2, r)] for r in (1, 2, 3, 4)] == [2, 10, 22, 48]
+    # within reach only by pruning on the distances the support forces
+    assert properness_check(Z2, 10, 1, H_DIRAC_SIMPLEX).count == 297
+    assert properness_check(INTEGERS, 4, 3, H_IDENTITY_LINE).count == 2407
+
+
+def test_properness_budget_is_a_hard_cap():
+    # Z/2, R = 10, p = 1 stores 509 lamp configurations, the empty one included
+    assert properness_check(Z2, 10, 1, H_DIRAC_SIMPLEX, budget=509).count == 297
+    with pytest.raises(BudgetError, match=r"properness search .* \(509 > 508\)"):
+        properness_check(Z2, 10, 1, H_DIRAC_SIMPLEX, budget=508)
+    with pytest.raises(BudgetError, match=r"\(2 > 1\)"):
+        properness_check(Z2, 1, 1, H_DIRAC_SIMPLEX, budget=1)
 
 
 def test_properness_monotone_in_radius():
@@ -416,7 +428,8 @@ def test_search_radius_covers_solutions():
 
 def reference_search_radius(spec, radius, p, h_mode):
     """The scan radius with one bounded knapsack per feasible (d+, d-), each
-    over that pair's remaining budget and read through `max`."""
+    over the d+ + d- + 1 lamp positions of [-d+, d-] with that pair's
+    remaining budget and read through `max`."""
     r = int(radius)
     rp = Fraction(radius) ** p
     values = [v for v in spec.ball(r) if v and lamp_displacement(spec, v, h_mode) <= radius]
@@ -429,7 +442,7 @@ def reference_search_radius(spec, radius, p, h_mode):
                 continue
             budget = int(rem)
             table = [0] * (budget + 1)
-            for _ in range(2 * r + 1):
+            for _ in range(dp + dm + 1):
                 nxt = table[:]
                 for c in range(budget + 1):
                     for size in sizes:
@@ -450,6 +463,13 @@ def test_search_radius_equals_the_per_pair_knapsack(spec, h_mode):
         radius = Fraction(a, b)
         got = properness_search_radius(spec, radius, p, h_mode)
         assert got == reference_search_radius(spec, radius, p, h_mode), (radius, p)
+
+
+def test_search_radius_counts_only_the_lamps_a_support_can_hold():
+    # a support inside [-d+, d-] holds at most d+ + d- + 1 lamps, which
+    # takes both below the 12 that all 2r + 1 lamp positions would give
+    assert properness_search_radius(Z2, 4, 2, H_DIRAC_SIMPLEX) == 9
+    assert properness_search_radius(INTEGERS, 4, 2, H_IDENTITY_LINE) == 10
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,8 @@ _ACT_TEST = ("tests/test_trees.py::test_act_matches_coset_composition",)
 _SPLICE_TESTS = (*_ACT_TEST, "tests/test_wreath.py::test_of_and_product_match_a_per_position_reference")
 _SAMPLER_REFERENCE = "tests/test_compression.py::test_sample_pairs_equal_per_step_reference"
 _CAYLEY_REFERENCE = "tests/test_oracles.py::test_bfs_equals_reference_expansion"
+_PROPERNESS_COUNTS = "tests/test_oracles.py::test_properness_counts_frozen"
+_PROPERNESS_FILTER = "tests/test_oracles.py::test_integer_filter_matches_fraction_filter"
 
 MUTANTS = (
     Mutant(
@@ -159,18 +161,34 @@ MUTANTS = (
         "src/wreathz/oracles.py",
         "members = {x for x in candidates if _distance_pth(x, p, costs) <= limit}",
         "members = {x for x in candidates if _distance_pth(x, p, costs) < limit}",
-        (
-            "tests/test_oracles.py::test_properness_counts_frozen",
-            "tests/test_oracles.py::test_integer_filter_matches_fraction_filter",
-        ),
+        (_PROPERNESS_COUNTS, _PROPERNESS_FILTER),
     ),
     Mutant(
         "search-radius-one-lamp-position-short",
         "src/wreathz/oracles.py",
-        "    for _ in range(2 * r + 1):\n",
-        "    for _ in range(2 * r):\n",
-        # the cross-checks' scan radius has slack, so only the reference catches this
-        ("tests/test_oracles.py::test_search_radius_equals_the_per_pair_knapsack",),
+        "rows[dp + dm + 1][budget - dp**p - dm**p]",
+        "rows[dp + dm][budget - dp**p - dm**p]",
+        # the scan radius still has slack over the members' word lengths, so
+        # the cross-checks pass under this; the reference and the pins do not
+        (
+            "tests/test_oracles.py::test_search_radius_equals_the_per_pair_knapsack",
+            "tests/test_oracles.py::test_search_radius_counts_only_the_lamps_a_support_can_hold",
+        ),
+    ),
+    Mutant(
+        "properness-prune-top-lamp-one-step-further",
+        "src/wreathz/oracles.py",
+        "max(0, q) ** p",
+        "max(0, q + 1) ** p",
+        (_PROPERNESS_COUNTS, _PROPERNESS_FILTER),
+    ),
+    Mutant(
+        "properness-prune-ignores-low-support",
+        "src/wreathz/oracles.py",
+        "max(0, -lo) ** p",
+        "0",
+        # an under-pruning search finds the same members; only the stored count shows it
+        ("tests/test_oracles.py::test_properness_budget_is_a_hard_cap",),
     ),
 )
 
