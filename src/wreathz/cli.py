@@ -18,7 +18,6 @@ from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, TreeMode, sigma
 from .oracles import BudgetError, ball_sizes, cayley_bfs, properness_check
 from .trees import TreeSide, dist_from_base, format_vertex, vertex_of
 from .vectors import format_value
-from .verify import VerifyConfig, run_suites
 from .wreath import parse_element
 
 
@@ -75,11 +74,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", action="append", help="run only the named suite (repeatable)")
-    p.add_argument("--seed", type=int, default=VerifyConfig.seed)
-    p.add_argument("--triples", type=int, default=VerifyConfig.triples)
-    p.add_argument("--tree-checks", type=int, default=VerifyConfig.random_tree_checks)
-    p.add_argument("--samples", type=int, default=VerifyConfig.samples)
-    p.add_argument("--scale", type=int, default=VerifyConfig.scale)
+    # an omitted count takes VerifyConfig's default when the suites run
+    p.add_argument("--seed", type=int)
+    p.add_argument("--triples", type=int)
+    p.add_argument("--tree-checks", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--scale", type=int)
 
     return parser
 
@@ -181,13 +181,17 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = VerifyConfig(
+    # imported here: the suites' module is the slowest import, and only verify needs it
+    from .verify import VerifyConfig, run_suites
+
+    given = dict(
         seed=args.seed,
         triples=args.triples,
         random_tree_checks=args.tree_checks,
         samples=args.samples,
         scale=args.scale,
     )
+    cfg = VerifyConfig(**{name: value for name, value in given.items() if value is not None})
     passed = failed = 0
     for name, ok, detail in run_suites(cfg, args.suite):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

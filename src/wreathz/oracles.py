@@ -19,8 +19,8 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, starmap
-from operator import itemgetter
+from itertools import accumulate, repeat
+from operator import floordiv, itemgetter, mod, sub
 
 from .basegroups import GroupSpec
 from .embeddings import lamp_displacement, validate_h_mode
@@ -70,27 +70,53 @@ def _grow(seen: dict, frontier: list, depth: int, neighbors, budget: int, held: 
 
 
 class _Ball(Mapping):
-    """Read-only `Mapping[WreathElement, int]` over a Cayley BFS's raw
-    `{(lamps, shift): length}` dict.  `len` and `values()` read the raw dict;
-    iteration and `items()` build each element as it is read, in discovery
-    order; a lookup checks the element's spec, then its `(lamps, shift)`."""
+    """Read-only `Mapping[WreathElement, int]` over a Cayley BFS's int-coded
+    result (the codes are described at `cayley_bfs`): `{code: length}` and
+    the lamps of each configuration, `{cfg: lamps}`.  `len` and `values()`
+    read the codes' dict; iteration and `items()` decode each element as it
+    is read, in discovery order; a lookup checks the element's spec, then
+    encodes it, rejecting what no ball element can equal."""
 
-    def __init__(self, spec: GroupSpec, raw: dict[tuple, int]):
+    def __init__(self, spec: GroupSpec, radius: int, raw: dict[int, int], lamps_of: dict, place: list, values):
         self._spec = spec
+        self._radius = radius
         self._raw = raw
+        self._lamps_of = lamps_of
+        self._place = place
+        self._digits = {v: d for d, v in enumerate(values) if v}
 
     def __len__(self) -> int:
         return len(self._raw)
 
     def __iter__(self):
-        return starmap(partial(WreathElement, self._spec), self._raw)
+        raw, width = self._raw, len(self._place)
+        lamps = map(self._lamps_of.__getitem__, map(floordiv, raw, repeat(width)))
+        shifts = map(sub, map(mod, raw, repeat(width)), repeat(self._radius))
+        return map(WreathElement, repeat(self._spec), lamps, shifts)
 
     def __getitem__(self, x) -> int:
         if isinstance(x, WreathElement) and x.spec == self._spec:
-            d = self._raw.get((x.lamps, x.shift))
+            d = self._raw.get(self._code(x.lamps, x.shift))
             if d is not None:
                 return d
         raise KeyError(x)
+
+    def _code(self, lamps: tuple, shift: int) -> int | None:
+        """The code of (lamps, shift), or None where no ball element can
+        equal it: a shift or lamp position outside [-R, R], positions not
+        strictly increasing, or a value with no digit (the identity, a Z/k
+        value outside 1..k-1, a Z value with |v| > R)."""
+        r, digits, place = self._radius, self._digits, self._place
+        if not -r <= shift <= r:
+            return None
+        code, last = shift + r, -r - 1
+        for pos, v in lamps:
+            d = digits.get(v)
+            if d is None or not last < pos <= r:
+                return None
+            code += d * place[pos + r]
+            last = pos
+        return code
 
     def values(self):
         return self._raw.values()
@@ -114,39 +140,60 @@ def cayley_bfs(
     by breadth-first expansion over the standard generators.  The budget
     caps the number of stored elements: storing one more raises.
 
-    The result is a read-only mapping over the search's raw keys, in
-    discovery order: its elements are built as they are iterated, so
+    The search keys each element by one int, its code cfg*W + (n + R), with
+    R the radius, W = 2R + 1 and n the shift; cfg is the sum of
+    digit(v)*B^(p + R) over the lamps (p, v), with B the order on Z/k and W
+    on Z, where a Z value v is stored as v mod B.  A shift move is code +- 1;
+    a lamp move reads the digit under the cursor and changes only it.  The
+    lamps of a configuration are spliced once, from its parent's, when its
+    cfg first appears.  The result is a read-only mapping over the codes, in
+    discovery order: its elements are decoded as they are iterated, so
     reading only `len` or `values()` builds none."""
     if radius_cap < 0:
         raise ValueError(f"radius must be >= 0, got {radius_cap}")
     budget = element_budget(budget)
-    lamp_values = spec.generator_values()
-    order = spec.order
+    r = radius_cap
+    width = 2 * r + 1
+    base = spec.order or width
+    # The window: only elements at depth <= R - 1 are expanded, so there
+    # |n| <= R - 1 and n +- 1 stays in [-R, R]: no shift spills into the next
+    # cfg.  A lamp sits where the cursor has been, inside [-(R - 1), R - 1].
+    # A Z value is at most R - 1 in absolute value before a move and at most
+    # R after it, so v mod (2R + 1) stays unique, and a move only replaces
+    # one digit in 0..B-1 by another: no digit carries.
+    values = range(base) if spec.order else [*range(r + 1), *range(-r, 0)]  # the value of each digit
+    place = [width * base**m for m in range(width)]  # the code of digit 1 at position m - R
+    steps = spec.generator_values()
+    lamps_of = {0: ()}
 
-    def neighbors(el: tuple) -> list[tuple]:
-        lamps, n = el
-        # A lamp generator only changes the lamp under the cursor n: split
-        # the configuration there once and splice each new value back in.
-        i = bisect_left(lamps, (n,))
-        head = lamps[:i]
-        if i < len(lamps) and lamps[i][0] == n:
-            cur, rest = lamps[i][1], lamps[i + 1 :]
-        else:
-            cur, rest = 0, lamps[i:]
-        nxt = [(lamps, n + 1), (lamps, n - 1)]
-        for g in lamp_values:
-            v = (cur + g) % order if order else cur + g
-            nxt.append((head + ((n, v),) + rest if v else head + rest, n))
+    def neighbors(code: int) -> list[int]:
+        m = code % width
+        at = place[m]
+        d = code // at % base
+        nxt = [code + 1, code - 1]
+        for g in steps:
+            e = (d + g) % base
+            nb = code + (e - d) * at
+            cfg = nb // width
+            if cfg not in lamps_of:
+                # first sight of this configuration: splice the new lamp into
+                # the parent's lamps (a nonzero d means a lamp sits at n)
+                lamps = lamps_of[code // width]
+                n = m - r
+                i = bisect_left(lamps, (n,))
+                rest = lamps[i + 1 :] if d else lamps[i:]
+                lamps_of[cfg] = lamps[:i] + ((n, values[e]),) + rest if e else lamps[:i] + rest
+            nxt.append(nb)
         return nxt
 
-    found: dict[tuple, int] = {((), 0): 0}
+    found = {r: 0}  # the identity: no lamps, shift 0
     frontier = list(found)
-    for layer in range(1, radius_cap + 1):
+    for layer in range(1, r + 1):
         try:
             frontier = _grow(found, frontier, layer, neighbors, budget)
         except BudgetError as err:
             raise BudgetError(f"Cayley ball outgrew the element budget {err} at radius {layer}") from None
-    return _Ball(spec, found)
+    return _Ball(spec, r, found, lamps_of, place, values)
 
 
 def ball_sizes(lengths: Mapping[WreathElement, int], radius: int) -> list[int]:

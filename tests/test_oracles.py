@@ -126,6 +126,33 @@ def test_ball_is_a_read_only_mapping():
             ball[y]
 
 
+@pytest.mark.parametrize(
+    "spec, lamps, shift",
+    [
+        (Z2, ((1, 3),), 0),  # a Z/k value outside 1..k-1; 3 = 1 mod 2
+        (Z2, ((1, 0),), 0),  # the identity value
+        (cyclic(3), ((0, -1),), 0),  # -1 = 2 mod 3
+        (INTEGERS, ((0, 5),), 0),  # |v| > R; 5 = -4 mod 9
+        (INTEGERS, ((0, 10),), 0),  # 10 = 1 mod 9
+        (Z2, ((0, 1), (0, 1)), 0),  # a position twice
+        (Z2, ((1, 1), (0, 1)), 1),  # positions out of order
+        (Z2, ((5, 1),), 0),  # lamp positions outside [-R, R]
+        (Z2, ((-5, 1),), 0),
+        (Z2, ((-4, 1),), -5),  # shifts outside [-R, R]; -5 spills into the lamp digits
+        (Z2, (), 5),
+    ],
+)
+def test_ball_lookup_rejects_elements_outside_the_encoding(spec, lamps, shift):
+    # no element of the radius-4 ball equals any of these pairs; a naive
+    # encoding (v mod B, no range checks) finds most of them
+    ball = cayley_bfs(spec, 4)
+    x = WreathElement(spec, lamps, shift)
+    assert x not in ball
+    with pytest.raises(KeyError):
+        ball[x]
+    assert x not in set(ball)
+
+
 def test_ball_views_agree_in_discovery_order():
     ball = cayley_bfs(cyclic(3), 4)
     want = reference_cayley_bfs(cyclic(3), 4)
@@ -134,6 +161,8 @@ def test_ball_views_agree_in_discovery_order():
     assert list(ball.items()) == list(zip(ball, ball.values())) == list(want.items())
     assert list(ball) == list(ball)  # iterating again builds equal elements
     assert len(ball) == len(want)
+    # a lookup encodes each element as the search did
+    assert all(ball[x] == d for x, d in want.items())
 
 
 def test_bfs_budget_is_a_hard_cap():

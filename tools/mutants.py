@@ -131,16 +131,25 @@ MUTANTS = (
     Mutant(
         "cayley-cursor-off-by-one",
         "src/wreathz/oracles.py",
-        "        i = bisect_left(lamps, (n,))\n",
-        "        i = bisect_left(lamps, (n + 1,))\n",
+        "                n = m - r\n",
+        "                n = m - r + 1\n",
         (_CAYLEY_REFERENCE,),
     ),
     Mutant(
         "cayley-splice-keeps-old-lamp",
         "src/wreathz/oracles.py",
-        "cur, rest = lamps[i][1], lamps[i + 1 :]",
-        "cur, rest = lamps[i][1], lamps[i:]",
+        "rest = lamps[i + 1 :] if d else lamps[i:]",
+        "rest = lamps[i:]",
         (_CAYLEY_REFERENCE,),
+    ),
+    Mutant(
+        "cayley-place-value-one-digit-off",
+        "src/wreathz/oracles.py",
+        "        at = place[m]\n",
+        "        at = place[m + 1]\n",
+        # the search alone relabels its codes consistently under this, so
+        # the reference expansion passes; a lookup no longer finds elements
+        ("tests/test_oracles.py::test_ball_views_agree_in_discovery_order",),
     ),
     Mutant(
         "ball-lookup-ignores-spec",
@@ -152,9 +161,16 @@ MUTANTS = (
     Mutant(
         "ball-iteration-shift-plus-one",
         "src/wreathz/oracles.py",
-        "        return starmap(partial(WreathElement, self._spec), self._raw)\n",
-        "        return (WreathElement(self._spec, lamps, n + 1) for lamps, n in self._raw)\n",
+        "repeat(width)), repeat(self._radius))",
+        "repeat(width)), repeat(self._radius - 1))",
         ("tests/test_oracles.py::test_ball_views_agree_in_discovery_order", _CAYLEY_REFERENCE),
+    ),
+    Mutant(
+        "ball-lookup-wraps-values",
+        "src/wreathz/oracles.py",
+        "            d = digits.get(v)\n",
+        "            d = v % (self._spec.order or len(place))\n",
+        ("tests/test_oracles.py::test_ball_lookup_rejects_elements_outside_the_encoding",),
     ),
     Mutant(
         "properness-filter-strict",
