@@ -77,13 +77,15 @@ class _Ball(Mapping):
     is read, in discovery order; a lookup checks the element's spec, then
     encodes it, rejecting what no ball element can equal."""
 
-    def __init__(self, spec: GroupSpec, radius: int, raw: dict[int, int], lamps_of: dict, place: list, values):
+    def __init__(self, spec: GroupSpec, radius: int, raw: dict[int, int], lamps_of: dict, place: list):
         self._spec = spec
         self._radius = radius
         self._raw = raw
         self._lamps_of = lamps_of
         self._place = place
-        self._digits = {v: d for d, v in enumerate(values) if v}
+        self._base = spec.order or len(place)
+        # the values a lamp can hold: 1..k-1 on Z/k, [-R, R] on Z (0 aside)
+        self._value_range = (1, spec.order - 1) if spec.order else (-radius, radius)
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -104,17 +106,17 @@ class _Ball(Mapping):
     def _code(self, lamps: tuple, shift: int) -> int | None:
         """The code of (lamps, shift), or None where no ball element can
         equal it: a shift or lamp position outside [-R, R], positions not
-        strictly increasing, or a value with no digit (the identity, a Z/k
-        value outside 1..k-1, a Z value with |v| > R)."""
-        r, digits, place = self._radius, self._digits, self._place
+        strictly increasing, or a value no lamp can hold (the identity, a
+        Z/k value outside 1..k-1, a Z value with |v| > R)."""
+        r, base, place = self._radius, self._base, self._place
+        low, high = self._value_range
         if not -r <= shift <= r:
             return None
         code, last = shift + r, -r - 1
         for pos, v in lamps:
-            d = digits.get(v)
-            if d is None or not last < pos <= r:
+            if not (v and low <= v <= high and last < pos <= r):
                 return None
-            code += d * place[pos + r]
+            code += v % base * place[pos + r]
             last = pos
         return code
 
@@ -193,7 +195,7 @@ def cayley_bfs(
             frontier = _grow(found, frontier, layer, neighbors, budget)
         except BudgetError as err:
             raise BudgetError(f"Cayley ball outgrew the element budget {err} at radius {layer}") from None
-    return _Ball(spec, r, found, lamps_of, place, values)
+    return _Ball(spec, r, found, lamps_of, place)
 
 
 def ball_sizes(lengths: Mapping[WreathElement, int], radius: int) -> list[int]:

@@ -132,6 +132,7 @@ def test_ball_is_a_read_only_mapping():
         (Z2, ((1, 3),), 0),  # a Z/k value outside 1..k-1; 3 = 1 mod 2
         (Z2, ((1, 0),), 0),  # the identity value
         (cyclic(3), ((0, -1),), 0),  # -1 = 2 mod 3
+        (cyclic(10**12), ((0, 10**12 + 1),), 0),  # a huge order costs the lookup nothing
         (INTEGERS, ((0, 5),), 0),  # |v| > R; 5 = -4 mod 9
         (INTEGERS, ((0, 10),), 0),  # 10 = 1 mod 9
         (Z2, ((0, 1), (0, 1)), 0),  # a position twice

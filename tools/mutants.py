@@ -168,8 +168,8 @@ MUTANTS = (
     Mutant(
         "ball-lookup-wraps-values",
         "src/wreathz/oracles.py",
-        "            d = digits.get(v)\n",
-        "            d = v % (self._spec.order or len(place))\n",
+        "            if not (v and low <= v <= high and last < pos <= r):\n",
+        "            if not last < pos <= r:\n",
         ("tests/test_oracles.py::test_ball_lookup_rejects_elements_outside_the_encoding",),
     ),
     Mutant(
