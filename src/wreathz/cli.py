@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .basegroups import ParseError, parse_group
@@ -74,10 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", action="append", help="run only the named suite (repeatable)")
-    # an omitted count takes VerifyConfig's default when the suites run
+    # each dest is a VerifyConfig field; an omitted count takes its default when the suites run
     p.add_argument("--seed", type=int)
     p.add_argument("--triples", type=int)
-    p.add_argument("--tree-checks", type=int)
+    p.add_argument("--tree-checks", type=int, dest="random_tree_checks", metavar="TREE_CHECKS")
     p.add_argument("--samples", type=int)
     p.add_argument("--scale", type=int)
 
@@ -184,13 +185,7 @@ def _cmd_verify(args) -> int:
     # imported here: the suites' module is the slowest import, and only verify needs it
     from .verify import VerifyConfig, run_suites
 
-    given = dict(
-        seed=args.seed,
-        triples=args.triples,
-        random_tree_checks=args.tree_checks,
-        samples=args.samples,
-        scale=args.scale,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(VerifyConfig)}
     cfg = VerifyConfig(**{name: value for name, value in given.items() if value is not None})
     passed = failed = 0
     for name, ok, detail in run_suites(cfg, args.suite):

@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import accumulate, repeat
 from operator import floordiv, itemgetter, mod, sub
 
@@ -74,51 +74,30 @@ class _Ball(Mapping):
     result (the codes are described at `cayley_bfs`): `{code: length}` and
     the lamps of each configuration, `{cfg: lamps}`.  `len` and `values()`
     read the codes' dict; iteration and `items()` decode each element as it
-    is read, in discovery order; a lookup checks the element's spec, then
-    encodes it, rejecting what no ball element can equal."""
+    is read, in discovery order; a lookup reads `{element: length}`, built
+    from the decoded elements on the first lookup."""
 
-    def __init__(self, spec: GroupSpec, radius: int, raw: dict[int, int], lamps_of: dict, place: list):
+    def __init__(self, spec: GroupSpec, radius: int, raw: dict[int, int], lamps_of: dict):
         self._spec = spec
         self._radius = radius
         self._raw = raw
         self._lamps_of = lamps_of
-        self._place = place
-        self._base = spec.order or len(place)
-        # the values a lamp can hold: 1..k-1 on Z/k, [-R, R] on Z (0 aside)
-        self._value_range = (1, spec.order - 1) if spec.order else (-radius, radius)
 
     def __len__(self) -> int:
         return len(self._raw)
 
     def __iter__(self):
-        raw, width = self._raw, len(self._place)
+        raw, width = self._raw, 2 * self._radius + 1
         lamps = map(self._lamps_of.__getitem__, map(floordiv, raw, repeat(width)))
         shifts = map(sub, map(mod, raw, repeat(width)), repeat(self._radius))
         return map(WreathElement, repeat(self._spec), lamps, shifts)
 
-    def __getitem__(self, x) -> int:
-        if isinstance(x, WreathElement) and x.spec == self._spec:
-            d = self._raw.get(self._code(x.lamps, x.shift))
-            if d is not None:
-                return d
-        raise KeyError(x)
+    @cached_property
+    def _index(self) -> dict[WreathElement, int]:
+        return dict(zip(self, self._raw.values()))
 
-    def _code(self, lamps: tuple, shift: int) -> int | None:
-        """The code of (lamps, shift), or None where no ball element can
-        equal it: a shift or lamp position outside [-R, R], positions not
-        strictly increasing, or a value no lamp can hold (the identity, a
-        Z/k value outside 1..k-1, a Z value with |v| > R)."""
-        r, base, place = self._radius, self._base, self._place
-        low, high = self._value_range
-        if not -r <= shift <= r:
-            return None
-        code, last = shift + r, -r - 1
-        for pos, v in lamps:
-            if not (v and low <= v <= high and last < pos <= r):
-                return None
-            code += v % base * place[pos + r]
-            last = pos
-        return code
+    def __getitem__(self, x) -> int:
+        return self._index[x]
 
     def values(self):
         return self._raw.values()
@@ -144,13 +123,15 @@ def cayley_bfs(
 
     The search keys each element by one int, its code cfg*W + (n + R), with
     R the radius, W = 2R + 1 and n the shift; cfg is the sum of
-    digit(v)*B^(p + R) over the lamps (p, v), with B the order on Z/k and W
-    on Z, where a Z value v is stored as v mod B.  A shift move is code +- 1;
-    a lamp move reads the digit under the cursor and changes only it.  The
-    lamps of a configuration are spliced once, from its parent's, when its
-    cfg first appears.  The result is a read-only mapping over the codes, in
-    discovery order: its elements are decoded as they are iterated, so
-    reading only `len` or `values()` builds none."""
+    digit(v)*B^zig(p) over the lamps (p, v), with B the order on Z/k and W
+    on Z, where a Z value v is stored as v mod B, and zig(p) = 2p for p >= 0,
+    -2p - 1 for p < 0: the places follow the positions the search reaches,
+    so a search the budget cuts off keeps small codes at any R.  A shift
+    move is code +- 1; a lamp move reads the digit under the cursor and
+    changes only it.  The lamps of a configuration are spliced once, from
+    its parent's, when its cfg first appears.  The result is a read-only
+    mapping over the codes, in discovery order: its elements are decoded as
+    they are iterated, so reading only `len` or `values()` builds none."""
     if radius_cap < 0:
         raise ValueError(f"radius must be >= 0, got {radius_cap}")
     budget = element_budget(budget)
@@ -163,8 +144,8 @@ def cayley_bfs(
     # A Z value is at most R - 1 in absolute value before a move and at most
     # R after it, so v mod (2R + 1) stays unique, and a move only replaces
     # one digit in 0..B-1 by another: no digit carries.
-    values = range(base) if spec.order else [*range(r + 1), *range(-r, 0)]  # the value of each digit
-    place = [width * base**m for m in range(width)]  # the code of digit 1 at position m - R
+    top = base - 1 if spec.order else r  # a digit e above top holds the Z value e - B
+    place = {}  # n + R -> the code of digit 1 at position n, for each cursor position reached
     steps = spec.generator_values()
     lamps_of = {0: ()}
 
@@ -184,18 +165,22 @@ def cayley_bfs(
                 n = m - r
                 i = bisect_left(lamps, (n,))
                 rest = lamps[i + 1 :] if d else lamps[i:]
-                lamps_of[cfg] = lamps[:i] + ((n, values[e]),) + rest if e else lamps[:i] + rest
+                lamps_of[cfg] = lamps[:i] + ((n, e if e <= top else e - base),) + rest if e else lamps[:i] + rest
             nxt.append(nb)
         return nxt
 
     found = {r: 0}  # the identity: no lamps, shift 0
     frontier = list(found)
     for layer in range(1, r + 1):
+        # the frontier's cursors lie in [-(layer - 1), layer - 1]: place the
+        # two new positions, digit zig(n) = 2n for n >= 0, -2n - 1 for n < 0
+        for n in (layer - 1, 1 - layer):
+            place[r + n] = width * base ** (2 * n if n >= 0 else -2 * n - 1)
         try:
             frontier = _grow(found, frontier, layer, neighbors, budget)
         except BudgetError as err:
             raise BudgetError(f"Cayley ball outgrew the element budget {err} at radius {layer}") from None
-    return _Ball(spec, r, found, lamps_of, place)
+    return _Ball(spec, r, found, lamps_of)
 
 
 def ball_sizes(lengths: Mapping[WreathElement, int], radius: int) -> list[int]:

@@ -239,8 +239,11 @@ def test_verify_rejects_bad_counts_before_any_suite(capsys, flag, value):
     ],
 )
 def test_verify_reports_a_degenerate_fit_as_a_failed_suite(capsys, flag, value, detail):
-    # too few samples to fit fails the suite; the run goes on to its summary
-    code, out, err = run(capsys, "verify", "--suite", "base-groups", "--suite", "sigma-audits", flag, value)
+    # too few samples to fit fails the suite; the run goes on to its summary.
+    # 200 samples keep the --scale cases short; a case's own --samples comes last and wins
+    code, out, err = run(
+        capsys, "verify", "--suite", "base-groups", "--suite", "sigma-audits", "--samples", "200", flag, value
+    )
     assert (code, err) == (1, "")
     lines = out.splitlines()
     assert lines[0].startswith("PASS base-groups: ")

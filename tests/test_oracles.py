@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
@@ -144,8 +145,8 @@ def test_ball_is_a_read_only_mapping():
     ],
 )
 def test_ball_lookup_rejects_elements_outside_the_encoding(spec, lamps, shift):
-    # no element of the radius-4 ball equals any of these pairs; a naive
-    # encoding (v mod B, no range checks) finds most of them
+    # no element of the radius-4 ball equals any of these pairs; a lookup
+    # by code (v mod B, no range checks) would find most of them
     ball = cayley_bfs(spec, 4)
     x = WreathElement(spec, lamps, shift)
     assert x not in ball
@@ -162,7 +163,7 @@ def test_ball_views_agree_in_discovery_order():
     assert list(ball.items()) == list(zip(ball, ball.values())) == list(want.items())
     assert list(ball) == list(ball)  # iterating again builds equal elements
     assert len(ball) == len(want)
-    # a lookup encodes each element as the search did
+    # a lookup finds each element at its depth
     assert all(ball[x] == d for x, d in want.items())
 
 
@@ -175,6 +176,25 @@ def test_bfs_budget_is_a_hard_cap():
     assert len(cayley_bfs(Z2, 6, budget=sizes[6])) == sizes[6]
     with pytest.raises(BudgetError, match=rf"\({sizes[6]} > {sizes[6] - 1}\) at radius 6"):
         cayley_bfs(Z2, 6, budget=sizes[6] - 1)
+
+
+@pytest.mark.parametrize("spec", [Z2, INTEGERS], ids=["Z/2", "Z"])
+def test_budget_cut_search_does_not_grow_with_the_radius(spec):
+    # the budget stops both searches at the same layer, with the same
+    # elements stored, so neither the radius nor its codes may cost memory
+    def peak(radius):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as err:
+                cayley_bfs(spec, radius, budget=2000)
+            return str(err.value), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    near, near_peak = peak(30)
+    far, far_peak = peak(5000)
+    assert far == near
+    assert far_peak < 1.5 * near_peak
 
 
 def test_bfs_budget_guard():
