@@ -19,6 +19,7 @@ from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, TreeMode, sigma
 from .oracles import BudgetError, ball_sizes, cayley_bfs, properness_check
 from .trees import TreeSide, dist_from_base, format_vertex, vertex_of
 from .vectors import format_value
+from .verifyconfig import VerifyConfig
 from .wreath import parse_element
 
 
@@ -75,12 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", action="append", help="run only the named suite (repeatable)")
-    # each dest is a VerifyConfig field; an omitted count takes its default when the suites run
-    p.add_argument("--seed", type=int)
-    p.add_argument("--triples", type=int)
-    p.add_argument("--tree-checks", type=int, dest="random_tree_checks", metavar="TREE_CHECKS")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--scale", type=int)
+    # one option per VerifyConfig field, named by its metadata; an omitted
+    # count takes its default when the suites run
+    for f in fields(VerifyConfig):
+        flag = f.metadata["flag"]
+        p.add_argument(flag, type=int, dest=f.name, metavar=flag[2:].upper().replace("-", "_"))
 
     return parser
 
@@ -183,7 +183,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_verify(args) -> int:
     # imported here: the suites' module is the slowest import, and only verify needs it
-    from .verify import VerifyConfig, run_suites
+    from .verify import run_suites
 
     given = {f.name: getattr(args, f.name) for f in fields(VerifyConfig)}
     cfg = VerifyConfig(**{name: value for name, value in given.items() if value is not None})

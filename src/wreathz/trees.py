@@ -14,7 +14,7 @@ ever materialized.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .basegroups import GroupSpec
 from .wreath import LampConfig, WreathElement, canonical_lamps
@@ -32,12 +32,12 @@ class TreeSide(enum.Enum):
         return "T+" if self is TreeSide.PLUS else "T-"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeVertex:
     """Canonical coset form: a level and the tail on one side of it.
 
     The hash covers `(level, tail)` only: it skips the Python-level hashes
-    of `spec` and `side`.
+    of `spec` and `side`, and it is computed once, when the vertex is built.
     Equality still compares them, so vertices of the two trees or of two
     base groups with the same level and tail collide yet stay distinct keys.
     """
@@ -46,19 +46,34 @@ class TreeVertex:
     side: TreeSide
     level: int
     tail: LampConfig
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.tail:
-            if self.side is TreeSide.PLUS and self.tail[-1][0] >= self.level:
+    def __init__(self, spec: GroupSpec, side: TreeSide, level: int, tail: LampConfig):
+        if tail:
+            if side is TreeSide.PLUS and tail[-1][0] >= level:
                 raise ValueError("plus-side tail must lie strictly below the level")
-            if self.side is TreeSide.MINUS and self.tail[0][0] <= self.level:
+            if side is TreeSide.MINUS and tail[0][0] <= level:
                 raise ValueError("minus-side tail must lie strictly above the level")
+        # Store through the slot descriptors, as WreathElement does: the
+        # generated frozen __init__ goes through object.__setattr__.
+        _set_spec(self, spec)
+        _set_side(self, side)
+        _set_level(self, level)
+        _set_tail(self, tail)
+        _set_hash(self, hash((level, tail)))
 
     def __hash__(self) -> int:
-        return hash((self.level, self.tail))
+        return self._hash
 
     def __str__(self) -> str:
         return format_vertex(self)
+
+
+_set_spec = TreeVertex.spec.__set__
+_set_side = TreeVertex.side.__set__
+_set_level = TreeVertex.level.__set__
+_set_tail = TreeVertex.tail.__set__
+_set_hash = TreeVertex._hash.__set__
 
 
 def base_vertex(spec: GroupSpec, side: TreeSide) -> TreeVertex:

@@ -23,13 +23,23 @@ from typing import Iterable, Iterator, Union
 from .trees import TreeSide, TreeVertex, format_vertex, spine_step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeomEdge:
     """Unoriented tree edge keyed by its outer endpoint, whose `spine_step` is
     the other one: the upper end on the plus tree, the lower end on the minus
-    tree.  Every vertex is the outer end of exactly one edge."""
+    tree.  Every vertex is the outer end of exactly one edge, so the edge
+    hashes as that vertex, whose hash is stored."""
 
     outer: TreeVertex
+
+    def __init__(self, outer: TreeVertex):
+        _set_outer(self, outer)
+
+    def __hash__(self) -> int:
+        return self.outer._hash
+
+
+_set_outer = GeomEdge.outer.__set__
 
 
 def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
@@ -44,11 +54,17 @@ def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
     raise ValueError("edge endpoints must be adjacent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedEdge(GeomEdge):
     """One coordinate per geometric edge for the cocycle embedding: the
     value is the charge carried from the lower endpoint to the upper one, so
-    the reverse orientation carries its negative."""
+    the reverse orientation carries its negative.  Equality checks the class,
+    so a signed edge and the geometric edge on the same vertex differ."""
+
+    # set here, or the decorator would generate a frozen __init__ and a
+    # tuple hash for the subclass
+    __init__ = GeomEdge.__init__
+    __hash__ = GeomEdge.__hash__
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ invariant has one implementation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -45,6 +44,7 @@ from .trees import (
     truncated_neighbors,
     vertex_of,
 )
+from .verifyconfig import VerifyConfig
 from .wreath import WreathElement, format_element, parse_element, travel_length
 
 Z2_BALL_SIZES = [1, 4, 10, 22, 44, 84, 155, 278, 490]
@@ -127,26 +127,6 @@ def random_stabilizer_element(spec: GroupSpec, side: TreeSide, rng: random.Rando
     values = [v for v in spec.ball(RANDOM_VALUE_RADIUS) if v]
     lamps = [(p, rng.choice(values)) for p in positions if rng.random() < 0.5]
     return WreathElement(spec, tuple(lamps), 0)
-
-
-@dataclass
-class VerifyConfig:
-    seed: int = 20240901
-    triples: int = 1000
-    random_tree_checks: int = 10_000
-    samples: int = 100_000
-    scale: int = 1000
-
-    def __post_init__(self):
-        for name, flag, least in (
-            ("triples", "--triples", 1),
-            ("random_tree_checks", "--tree-checks", 1),
-            ("samples", "--samples", 1),
-            ("scale", "--scale", 0),
-        ):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"{name} ({flag}) must be >= {least}, got {value}")
 
 
 # --- suites ----------------------------------------------------------------

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import wreathz
@@ -228,6 +233,16 @@ def test_verify_rejects_bad_counts_before_any_suite(capsys, flag, value):
     code, out, err = run(capsys, "verify", flag, value)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and f"({flag}) must be >= " in err
+
+
+def test_only_verify_imports_the_suites_module():
+    # the parser builds the verify options from VerifyConfig, which lives apart from the suites
+    code = "import sys; from wreathz.cli import main; main(['length', '--group', 'Z', '(;1)']); "
+    code += "print('wreathz.verify' in sys.modules)"
+    src = str(Path(wreathz.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["1", "False"]
 
 
 @pytest.mark.parametrize(

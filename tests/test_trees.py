@@ -1,4 +1,6 @@
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields
 from itertools import pairwise
 
 import pytest
@@ -137,6 +139,30 @@ def test_equal_vertices_hash_equal():
     assert len({hash(v) for v in built}) == 1
     assert TreeSide("plus") is PLUS and TreeSide("minus") is MINUS
     assert {PLUS: 1, MINUS: 2}[TreeSide("minus")] == 2
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(actions())
+def test_slotted_vertex_and_edges_are_frozen_and_structural(case):
+    _, v = case
+    twin = TreeVertex(v.spec, TreeSide(v.side.value), int(str(v.level)), tuple(list(v.tail)))
+    assert twin == v and len({twin, v}) == 1
+    # the stored hash is today's tuple hash, and an edge hashes as its outer vertex
+    assert hash(twin) == hash(v) == hash((v.level, v.tail))
+    # the stored hash takes no part in repr or ==
+    assert [f.name for f in fields(v) if f.compare or f.repr] == ["spec", "side", "level", "tail"]
+    assert repr(v) == f"TreeVertex(spec={v.spec!r}, side={v.side!r}, level={v.level!r}, tail={v.tail!r})"
+    for edge in (GeomEdge, SignedEdge):
+        assert edge(v) == edge(twin) and hash(edge(v)) == hash(edge(twin)) == hash(v)
+        assert repr(edge(v)) == f"{edge.__name__}(outer={v!r})"
+    assert GeomEdge(v) != SignedEdge(v) and len({GeomEdge(v), SignedEdge(v)}) == 2
+    for key, names in ((v, ("spec", "side", "level", "tail")), (GeomEdge(v), ("outer",)), (SignedEdge(v), ("outer",))):
+        assert not hasattr(key, "__dict__")
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(key, name, getattr(key, name))
+        back = pickle.loads(pickle.dumps(key))
+        assert type(back) is type(key) and back == key and hash(back) == hash(key)
 
 
 def test_geodesic_examples():

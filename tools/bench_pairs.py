@@ -25,6 +25,10 @@ the same alternating pairs. Its entry under the `commands` key holds every
 run's wall time, peak RSS (of the command and its children), exit code and
 last output line, and for wall time and peak RSS each side's median and
 quartiles, the change's wins and the median's relative change.
+Every run, of either mode, gets PYTHONDONTWRITEBYTECODE=1 and a
+PYTHONPYCACHEPREFIX naming a new empty directory, so no `__pycache__` in
+either checkout is read and both sides compile every module from source
+alike; each entry records this under `env`.
 Standard library only.
 """
 
@@ -55,6 +59,11 @@ def src_record(checkout: Path) -> dict:
     return {"src_sha256": h.hexdigest(), "src_lines": lines}
 
 
+# The environment every run gets (see the module docstring); the prefix is
+# a new empty directory for each invocation of this script.
+RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": "a new empty directory"}
+
+
 def git_head(checkout: Path) -> str | None:
     try:
         out = subprocess.run(
@@ -66,12 +75,12 @@ def git_head(checkout: Path) -> str | None:
     return out.stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
     """One untraced benchmark run; its last two stdout lines are the run
     record and the result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"bench_pairs: {cmd} in {checkout} failed ({proc.returncode}):\n{proc.stderr}")
@@ -88,12 +97,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def time_command(checkout: Path, command: str) -> dict:
+def time_command(checkout: Path, command: str, env: dict) -> dict:
     """One run of a shell command from the checkout's root: wall time, peak
     RSS of the command and its children, exit code and last output line."""
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
-        proc = subprocess.Popen(command, shell=True, cwd=checkout, stdout=out, stderr=subprocess.STDOUT)
+        proc = subprocess.Popen(command, shell=True, cwd=checkout, stdout=out, stderr=subprocess.STDOUT, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
         seconds = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -196,6 +205,11 @@ def main(argv=None) -> int:
         p.error("--workload needs --seeds")
     if args.command and not (args.name and args.pairs and args.pairs >= 1):
         p.error("--command needs --name and --pairs >= 1")
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-pycache-") as cache:
+        return measure(p, args, {**os.environ, **RUN_ENV, "PYTHONPYCACHEPREFIX": cache})
+
+
+def measure(p: argparse.ArgumentParser, args: argparse.Namespace, env: dict) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, checkout in sides.items():
         if not (checkout / "perfbench" / "run.py").is_file():
@@ -209,15 +223,16 @@ def main(argv=None) -> int:
     }
 
     if args.command:
-        entry = doc.setdefault("commands", {})[args.name] = {"command": args.command, "sides": checkouts}
-        run_pairs(sides, "run", list(range(1, args.pairs + 1)), lambda checkout, _: time_command(checkout, args.command),
+        entry = doc.setdefault("commands", {})[args.name] = {"command": args.command, "sides": checkouts, "env": RUN_ENV}
+        run_pairs(sides, "run", list(range(1, args.pairs + 1)), lambda checkout, _: time_command(checkout, args.command, env),
                   args.out, doc, entry, COMMAND_METRICS)
         return 0
     entry = doc["workloads"][args.workload] = {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S --seconds {seconds} --trace 0",
         "sides": checkouts,
+        "env": RUN_ENV,
     }
-    run_pairs(sides, "seed", args.seeds, lambda checkout, seed: run_once(checkout, args.workload, seed, seconds),
+    run_pairs(sides, "seed", args.seeds, lambda checkout, seed: run_once(checkout, args.workload, seed, seconds, env),
               args.out, doc, entry, bench["end_to_end"])
     return 0
 

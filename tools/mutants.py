@@ -57,6 +57,20 @@ MUTANTS = (
         _ACT_TEST,
     ),
     Mutant(
+        "vertex-minus-tail-check-off-by-one",
+        "src/wreathz/trees.py",
+        "tail[0][0] <= level",
+        "tail[0][0] < level",
+        ("tests/test_trees.py::test_vertex_tail_side_constraint",),
+    ),
+    Mutant(
+        "vertex-hash-drops-tail",
+        "src/wreathz/trees.py",
+        "_set_hash(self, hash((level, tail)))",
+        "_set_hash(self, hash((level, tail[:1])))",
+        ("tests/test_trees.py::test_slotted_vertex_and_edges_are_frozen_and_structural",),
+    ),
+    Mutant(
         "act-keeps-identity-values",
         "src/wreathz/wreath.py",
         "        if v:\n            acc[q] = v\n        else:\n            acc.pop(q, None)\n",
