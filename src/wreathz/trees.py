@@ -65,11 +65,6 @@ class TreeVertex:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        # a pickle or copy rebuilds the vertex, so it never carries a hash
-        # made by another interpreter
-        return TreeVertex, (self.spec, self.side, self.level, self.tail)
-
     def __str__(self) -> str:
         return format_vertex(self)
 

@@ -54,13 +54,17 @@ def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
     raise ValueError("edge endpoints must be adjacent")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SignedEdge(GeomEdge):
     """One coordinate per geometric edge for the cocycle embedding: the
     value is the charge carried from the lower endpoint to the upper one, so
     the reverse orientation carries its negative.  Equality checks the class,
     so a signed edge and the geometric edge on the same vertex differ."""
 
+    # No slots=True: before Python 3.11 the decorator would declare `outer`
+    # again, a second slot that `_set_outer` never fills.  The empty
+    # `__slots__` keeps the base's one slot and no `__dict__`.
+    __slots__ = ()
     # set here, or the decorator would generate a frozen __init__ and a
     # tuple hash for the subclass
     __init__ = GeomEdge.__init__

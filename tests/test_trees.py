@@ -156,6 +156,8 @@ def test_slotted_vertex_and_edges_are_frozen_and_structural(case):
         assert edge(v) == edge(twin) and hash(edge(v)) == hash(edge(twin)) == hash(v)
         assert repr(edge(v)) == f"{edge.__name__}(outer={v!r})"
     assert GeomEdge(v) != SignedEdge(v) and len({GeomEdge(v), SignedEdge(v)}) == 2
+    # a signed edge has the one `outer` slot, its base's, which __init__ fills
+    assert "outer" not in vars(SignedEdge)
     for key, names in ((v, ("spec", "side", "level", "tail")), (GeomEdge(v), ("outer",)), (SignedEdge(v), ("outer",))):
         assert not hasattr(key, "__dict__")
         for name in names:

@@ -28,7 +28,8 @@ quartiles, the change's wins and the median's relative change.
 Every run, of either mode, gets PYTHONDONTWRITEBYTECODE=1 and a
 PYTHONPYCACHEPREFIX naming a new empty directory, so no `__pycache__` in
 either checkout is read and both sides compile every module from source
-alike; each entry records this under `env`.
+alike; each entry records the first under `env` and the second, whose
+value is a temporary path, in words under `env_note`.
 Standard library only.
 """
 
@@ -59,9 +60,10 @@ def src_record(checkout: Path) -> dict:
     return {"src_sha256": h.hexdigest(), "src_lines": lines}
 
 
-# The environment every run gets (see the module docstring); the prefix is
-# a new empty directory for each invocation of this script.
-RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": "a new empty directory"}
+# The environment every run gets (see the module docstring), besides a
+# PYTHONPYCACHEPREFIX that `main` sets to a new empty directory.
+RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
+ENV_NOTE = "PYTHONPYCACHEPREFIX named a new empty directory for each invocation"
 
 
 def git_head(checkout: Path) -> str | None:
@@ -223,7 +225,9 @@ def measure(p: argparse.ArgumentParser, args: argparse.Namespace, env: dict) -> 
     }
 
     if args.command:
-        entry = doc.setdefault("commands", {})[args.name] = {"command": args.command, "sides": checkouts, "env": RUN_ENV}
+        entry = doc.setdefault("commands", {})[args.name] = {
+            "command": args.command, "sides": checkouts, "env": RUN_ENV, "env_note": ENV_NOTE,
+        }
         run_pairs(sides, "run", list(range(1, args.pairs + 1)), lambda checkout, _: time_command(checkout, args.command, env),
                   args.out, doc, entry, COMMAND_METRICS)
         return 0
@@ -231,6 +235,7 @@ def measure(p: argparse.ArgumentParser, args: argparse.Namespace, env: dict) -> 
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed S --seconds {seconds} --trace 0",
         "sides": checkouts,
         "env": RUN_ENV,
+        "env_note": ENV_NOTE,
     }
     run_pairs(sides, "seed", args.seeds, lambda checkout, seed: run_once(checkout, args.workload, seed, seconds, env),
               args.out, doc, entry, bench["end_to_end"])
