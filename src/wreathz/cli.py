@@ -89,6 +89,14 @@ def _default_h_mode(spec) -> str:
     return H_DIRAC_SIMPLEX if spec.is_finite else H_IDENTITY_LINE
 
 
+def _fraction(text: str, what: str) -> Fraction:
+    """Fraction(text), naming the argument when its denominator is zero."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {what} {text!r}") from None
+
+
 def _cmd_length(args) -> int:
     spec = parse_group(args.group)
     x = parse_element(spec, args.element)
@@ -133,7 +141,8 @@ def _cmd_ball(args) -> int:
 
 def _cmd_properness(args) -> int:
     spec = parse_group(args.group)
-    report = properness_check(spec, Fraction(args.radius), args.p, _default_h_mode(spec), budget=args.budget)
+    radius = _fraction(args.radius, "radius")
+    report = properness_check(spec, radius, args.p, _default_h_mode(spec), budget=args.budget)
     if args.format == "csv":
         print("key,value")
         for line in report.lines():
@@ -172,7 +181,7 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    b = bounds(Fraction(args.base_compression))
+    b = bounds(_fraction(args.base_compression, "base compression"))
     print(f"base_compression={b.base_compression}")
     print(f"non_equivariant_lower={b.non_equivariant_lower}")
     print(f"equivariant_lower={b.equivariant_lower}")

@@ -115,16 +115,21 @@ def lamp_displacement(spec: GroupSpec, value: int, h_mode: str) -> int:
     return spec.diameter if value else 0
 
 
+def _lamp_items(spec: GroupSpec, index: int, value: int, h_mode: str) -> list:
+    """The (key, value) items of `lamp_component`."""
+    if not value:
+        return []
+    if h_mode == H_IDENTITY_LINE:
+        return [(LampCoord(index, 0), value)]
+    scale = spec.diameter / math.sqrt(2)
+    return [(LampCoord(index, value), scale), (LampCoord(index, 0), -scale)]
+
+
 def lamp_component(spec: GroupSpec, index: int, value: int, h_mode: str) -> SparseVector:
     """Lamp block of the assembled map: the base embedding recentred so the
     identity maps to zero (off-support lamps must contribute nothing), keyed
     at the lamp's own index."""
-    if not value:
-        return SparseVector()
-    if h_mode == H_IDENTITY_LINE:
-        return SparseVector.single(LampCoord(index, 0), value)
-    scale = spec.diameter / math.sqrt(2)
-    return SparseVector([(LampCoord(index, value), scale), (LampCoord(index, 0), -scale)])
+    return SparseVector(_lamp_items(spec, index, value, h_mode))
 
 
 def _tree_component(x: WreathElement, side: TreeSide, tree_mode: TreeMode) -> SparseVector:
@@ -137,12 +142,14 @@ def _tree_component(x: WreathElement, side: TreeSide, tree_mode: TreeMode) -> Sp
 
 def sigma(x: WreathElement, tree_mode: TreeMode, h_mode: str) -> SparseVector:
     """The assembled embedding: both tree components plus one recentred base
-    embedding per lit lamp, all orthogonal."""
+    embedding per lit lamp, all orthogonal, so their items go into one
+    vector build."""
     validate_h_mode(x.spec, h_mode)
-    out = _tree_component(x, TreeSide.PLUS, tree_mode) + _tree_component(x, TreeSide.MINUS, tree_mode)
+    items = [*_tree_component(x, TreeSide.PLUS, tree_mode).items()]
+    items += _tree_component(x, TreeSide.MINUS, tree_mode).items()
     for pos, value in x.lamps:
-        out = out + lamp_component(x.spec, pos, value, h_mode)
-    return out
+        items += _lamp_items(x.spec, pos, value, h_mode)
+    return SparseVector(items)
 
 
 def embedded_distance(x: WreathElement, y: WreathElement, tree_mode: TreeMode, h_mode: str) -> float:

@@ -14,6 +14,7 @@ ever materialized.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .basegroups import GroupSpec
@@ -81,10 +82,12 @@ def base_vertex(spec: GroupSpec, side: TreeSide) -> TreeVertex:
     return TreeVertex(spec, side, 0, ())
 
 
-def _restrict(tail: LampConfig, side: TreeSide, level: int) -> LampConfig:
+def _restrict(lamps: LampConfig, side: TreeSide, level: int) -> LampConfig:
+    """The entries of `lamps` strictly on the tail side of level (below it on
+    T+, above it on T-): a slice, as the positions are sorted."""
     if side is TreeSide.PLUS:
-        return tuple((p, v) for p, v in tail if p < level)
-    return tuple((p, v) for p, v in tail if p > level)
+        return lamps[: bisect_left(lamps, (level,))]
+    return lamps[bisect_left(lamps, (level + 1,)) :]
 
 
 def vertex_of(x: WreathElement, side: TreeSide) -> TreeVertex:
@@ -103,8 +106,9 @@ def act(g: WreathElement, v: TreeVertex) -> TreeVertex:
 
     This is `vertex_of(g * representative(v), v.side)` built directly: the
     image sits at level v.level + g.shift, and its tail is g's lamps strictly
-    on the tail side of that level times v's tail shifted by g.shift (every
-    shifted entry already lies on that side), spliced by `canonical_lamps`.
+    on the tail side of that level (`_restrict`) times v's tail shifted by
+    g.shift (every shifted entry already lies on that side), spliced by
+    `canonical_lamps`.  With no tail to splice, g's lamps are the tail.
     """
     spec = v.spec
     # `is` first: GroupSpec equality is Python code.
@@ -112,11 +116,10 @@ def act(g: WreathElement, v: TreeVertex) -> TreeVertex:
         raise ValueError(f"mismatched group specs: {g.spec} vs {spec}")
     n = g.shift
     level = v.level + n
-    if v.side is TreeSide.PLUS:
-        acc = {p: x for p, x in g.lamps if p < level}
-    else:
-        acc = {p: x for p, x in g.lamps if p > level}
-    return TreeVertex(spec, v.side, level, canonical_lamps(spec, v.tail, n, acc))
+    own = _restrict(g.lamps, v.side, level)
+    if v.tail:
+        own = canonical_lamps(spec, v.tail, n, dict(own))
+    return TreeVertex(spec, v.side, level, own)
 
 
 def meet_level(u: TreeVertex, v: TreeVertex) -> int:
@@ -130,13 +133,23 @@ def meet_level(u: TreeVertex, v: TreeVertex) -> int:
         raise ValueError(f"vertices lie in different trees: {u.side.value} vs {v.side.value}")
     if u.spec != v.spec:
         raise ValueError(f"mismatched group specs: {u.spec} vs {v.spec}")
-    du, dv = dict(u.tail), dict(v.tail)
-    diffs = [p for p in du.keys() | dv.keys() if du.get(p) != dv.get(p)]
+    # Entries agree up to the first mismatch counted from the spine end (the
+    # low end on T+, the high end on T-); that mismatch, or else the first
+    # entry of the longer tail past the shorter one, is the first difference.
+    a, b = u.tail, v.tail
+    if len(a) > len(b):
+        a, b = b, a
     if u.side is TreeSide.PLUS:
         k = min(u.level, v.level)
-        return min(k, min(diffs)) if diffs else k
+        for x, y in zip(a, b):
+            if x != y:
+                return min(k, x[0], y[0])
+        return min(k, b[len(a)][0]) if len(b) > len(a) else k
     k = max(u.level, v.level)
-    return max(k, max(diffs)) if diffs else k
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return max(k, x[0], y[0])
+    return max(k, b[-len(a) - 1][0]) if len(b) > len(a) else k
 
 
 def dist(u: TreeVertex, v: TreeVertex) -> int:

@@ -71,12 +71,20 @@ class SignedEdge(GeomEdge):
     __hash__ = GeomEdge.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LampCoord:
     """Coordinate `coord` of the lamp-index-`index` copy of the base space."""
 
     index: int
     coord: int
+
+    def __init__(self, index: int, coord: int):
+        _set_index(self, index)
+        _set_coord(self, coord)
+
+
+_set_index = LampCoord.index.__set__
+_set_coord = LampCoord.coord.__set__
 
 
 CoordKey = Union[GeomEdge, LampCoord]
@@ -131,7 +139,13 @@ class SparseVector:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Iterable[tuple[CoordKey, Scalar]] = ()):
-        self._entries = _accumulate({}, entries)
+        # Callers almost always pass distinct keys and nonzero values: then
+        # one dict build is exactly what _accumulate would return.
+        entries = list(entries)
+        acc = dict(entries)
+        if len(acc) != len(entries) or not all(acc.values()):
+            acc = _accumulate({}, entries)
+        self._entries = acc
 
     @classmethod
     def single(cls, key: CoordKey, value: Scalar) -> "SparseVector":

@@ -193,6 +193,18 @@ def test_bounds_command(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bounds", "1/0"), "error: zero denominator in base compression '1/0'\n"),
+        (("properness", "--group", "Z/2", "--radius", "1/0"), "error: zero denominator in radius '1/0'\n"),
+    ],
+    ids=("bounds", "properness"),
+)
+def test_zero_denominator_names_the_literal(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", message)
+
+
 # Every suite no acceptance criterion calls; wreath-axioms has its own test.
 @pytest.mark.parametrize(
     "suite_args",

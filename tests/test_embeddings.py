@@ -36,6 +36,7 @@ from wreathz import (
 )
 from wreathz.compression import audit_injectivity_gap
 from wreathz.embeddings import (
+    _tree_component,
     identity_distance_squared,
     lamp_component,
     lamp_displacement,
@@ -322,6 +323,22 @@ def test_sigma_pure_shift():
 def test_sigma_single_lamp_at_origin():
     v = sigma(el(Z2, {0: 1}, 0), COCYCLE, H_DIRAC_SIMPLEX)
     assert v.norm_squared() == pytest.approx(1.0, abs=1e-12)  # 0 + 0 + 1
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(pinned_elements(), st.sampled_from((COCYCLE, TreeMode.guka(Fraction(1, 4)))))
+def test_sigma_equals_the_sum_of_its_components(x, tree_mode):
+    # the one-pass build against the vector sum of its blocks, in both lamp
+    # modes: same items in the same order, so the same bytes and norm
+    h_mode = H_DIRAC_SIMPLEX if x.spec.is_finite else H_IDENTITY_LINE
+    want = _tree_component(x, PLUS, tree_mode) + _tree_component(x, TreeSide.MINUS, tree_mode)
+    for pos, value in x.lamps:
+        want = want + lamp_component(x.spec, pos, value, h_mode)
+    got = sigma(x, tree_mode, h_mode)
+    assert list(got.items()) == list(want.items())
+    assert got.dump_lines() == want.dump_lines()
+    norm = got.norm_squared()
+    assert norm == want.norm_squared() and type(norm) is type(want.norm_squared())
 
 
 def test_identity_distance_squared_matches_vectors():

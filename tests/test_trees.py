@@ -375,6 +375,71 @@ def test_meet_level_symmetric():
         assert meet_level(u, v) == meet_level(v, u)
 
 
+def reference_meet_level(u, v):
+    """The first difference of the tails as a dict/set union, the formula
+    `meet_level` replaced."""
+    du, dv = dict(u.tail), dict(v.tail)
+    diffs = [p for p in du.keys() | dv.keys() if du.get(p) != dv.get(p)]
+    if u.side is PLUS:
+        k = min(u.level, v.level)
+        return min(k, min(diffs)) if diffs else k
+    k = max(u.level, v.level)
+    return max(k, max(diffs)) if diffs else k
+
+
+@st.composite
+def tail_pairs(draw):
+    """Two vertices of one tree whose tails are equal, one a prefix of the
+    other from the spine end, disjoint, or different in value at one shared
+    position; the levels fall anywhere around the tails."""
+    kind = draw(st.sampled_from(("equal", "prefix", "disjoint", "value")))
+    specs = (Z2, cyclic(3), INTEGERS) if kind != "value" else (cyclic(3), INTEGERS)
+    spec = draw(st.sampled_from(specs))
+    values = st.sampled_from([w for w in spec.ball(VALUE_RADIUS) if w])
+    side = draw(st.sampled_from(list(TreeSide)))
+    plus = side is PLUS
+    levels = [draw(st.integers(-6, 6)) for _ in range(2)]
+
+    def room(level):
+        return range(level - 10, level) if plus else range(level + 1, level + 11)
+
+    shared_room = room(min(levels) if plus else max(levels))
+    least = kind in ("prefix", "value")
+    shared = draw(st.dictionaries(st.sampled_from(shared_room), values, min_size=least, max_size=6))
+    tails = [dict(shared), dict(shared)]
+
+    def beyond(i, parity=None):
+        """Positions of vertex i's room past the shared entries, away from
+        the spine end, of one parity if given."""
+        past = [p for p in room(levels[i]) if not shared or (p > max(shared) if plus else p < min(shared))]
+        return [p for p in past if parity is None or p % 2 == parity]
+
+    if kind == "prefix":
+        # the shorter tail keeps the entries nearest the spine end; the
+        # longer one may go on past the shorter vertex's level
+        ordered = sorted(shared.items(), reverse=not plus)
+        tails[0] = dict(ordered[: draw(st.integers(0, len(ordered)))])
+        if beyond(1):
+            tails[1] |= draw(st.dictionaries(st.sampled_from(beyond(1)), values, max_size=3))
+    elif kind == "disjoint":
+        # disjoint past the shared entries, which may be none
+        for i in (0, 1):
+            if beyond(i, i):
+                tails[i] |= draw(st.dictionaries(st.sampled_from(beyond(i, i)), values, max_size=5))
+    elif kind == "value":
+        pos = draw(st.sampled_from(sorted(shared)))
+        tails[1][pos] = draw(values.filter(lambda w: w != shared[pos]))
+    pair = [TreeVertex(spec, side, level, tuple(sorted(tail.items()))) for level, tail in zip(levels, tails)]
+    return pair[:: draw(st.sampled_from((1, -1)))]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(tail_pairs())
+def test_meet_level_equals_the_dict_formula(pair):
+    u, v = pair
+    assert meet_level(u, v) == meet_level(v, u) == reference_meet_level(u, v)
+
+
 def test_format_vertex():
     assert format_vertex(vx(Z2, PLUS, 3)) == "T+ [3 | ]"
     assert format_vertex(vx(Z2, PLUS, 0, [(-1, 1)])) == "T+ [0 | 1@-1]"

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathz import SparseVector, TreeSide, TreeVertex, cyclic, geom_edge
-from wreathz.vectors import GeomEdge, LampCoord, SignedEdge
+from wreathz.vectors import GeomEdge, LampCoord, SignedEdge, _accumulate
 
 Z2 = cyclic(2)
 
@@ -82,6 +84,46 @@ def test_vector_arithmetic_prunes_zeros():
     assert -total + total == SparseVector()
     assert (total * 3).get(LampCoord(0, 1)) == 1
     assert (0 * total) == SparseVector()
+
+
+# a few keys of each class, so drawn entries repeat keys often
+KEYS = [LampCoord(i, c) for i in (-1, 0, 2) for c in (0, 1)]
+for outer in (vx(1), vx(0, [(-1, 1)]), vx(-1, side=TreeSide.MINUS)):
+    KEYS += [GeomEdge(outer), SignedEdge(outer)]
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.floats(-2, 2, allow_nan=False, allow_infinity=False),
+    st.sampled_from((0.0, -0.0, 0.5, -0.5)),
+)
+
+
+@st.composite
+def vector_entries(draw):
+    """Entries with distinct or repeated keys, some followed later by the
+    cancelling value, and zero values of every scalar type."""
+    entry = st.tuples(st.sampled_from(KEYS), SCALARS)
+    if draw(st.booleans()):
+        entries = draw(st.lists(entry, max_size=len(KEYS), unique_by=lambda e: e[0]))
+    else:
+        entries = draw(st.lists(entry, max_size=12))
+    for key, value in draw(st.lists(st.sampled_from(entries), max_size=3)) if entries else ():
+        entries.insert(draw(st.integers(0, len(entries))), (key, -value))
+    return entries
+
+
+def typed_items(mapping_items):
+    return [(key, value, type(value)) for key, value in mapping_items]
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(vector_entries())
+def test_vector_build_equals_the_accumulated_entries(entries):
+    # the one-dict build against the per-entry accumulation, from a list
+    # and from a generator: same order, same values, same value types
+    want = typed_items(_accumulate({}, entries).items())
+    assert typed_items(SparseVector(entries).items()) == want
+    assert typed_items(SparseVector(e for e in entries).items()) == want
 
 
 def test_mixed_class_inner_product():

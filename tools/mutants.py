@@ -52,9 +52,30 @@ MUTANTS = (
     Mutant(
         "act-plus-filter-includes-level",
         "src/wreathz/trees.py",
-        "for p, x in g.lamps if p < level}",
-        "for p, x in g.lamps if p <= level}",
+        "lamps[: bisect_left(lamps, (level,))]",
+        "lamps[: bisect_left(lamps, (level + 1,))]",
         _ACT_TEST,
+    ),
+    Mutant(
+        "act-minus-slice-includes-level",
+        "src/wreathz/trees.py",
+        "lamps[bisect_left(lamps, (level + 1,)) :]",
+        "lamps[bisect_left(lamps, (level,)) :]",
+        _ACT_TEST,
+    ),
+    Mutant(
+        "meet-level-ignores-longer-tail",
+        "src/wreathz/trees.py",
+        "        return min(k, b[len(a)][0]) if len(b) > len(a) else k\n",
+        "        return k\n",
+        ("tests/test_trees.py::test_meet_level_equals_the_dict_formula",),
+    ),
+    Mutant(
+        "vector-build-keeps-zero-values",
+        "src/wreathz/vectors.py",
+        "if len(acc) != len(entries) or not all(acc.values()):",
+        "if len(acc) != len(entries):",
+        ("tests/test_vectors.py::test_vector_build_equals_the_accumulated_entries",),
     ),
     Mutant(
         "vertex-minus-tail-check-off-by-one",
