@@ -15,8 +15,6 @@ from .compression import (
     sample_pairs,
 )
 from .embeddings import (
-    H_DIRAC_SIMPLEX,
-    H_IDENTITY_LINE,
     AffineMap,
     TreeMode,
     affine_alpha,
@@ -24,6 +22,7 @@ from .embeddings import (
     embedded_distance,
     gamma_action_on_sum,
     iota,
+    lamp_mode,
     sigma,
     weighted_tree_embed,
 )
@@ -68,8 +67,6 @@ __all__ = [
     "EnvelopeFit",
     "GeomEdge",
     "GroupSpec",
-    "H_DIRAC_SIMPLEX",
-    "H_IDENTITY_LINE",
     "LampCoord",
     "ParseError",
     "PropernessReport",
@@ -98,6 +95,7 @@ __all__ = [
     "geodesic_halves",
     "geom_edge",
     "iota",
+    "lamp_mode",
     "parse_element",
     "parse_group",
     "properness_check",

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .basegroups import ParseError, parse_group
 from .compression import bounds, fit_envelope, lower_envelope, sample_pairs
-from .embeddings import H_DIRAC_SIMPLEX, H_IDENTITY_LINE, TreeMode, sigma
+from .embeddings import TreeMode, lamp_mode, sigma
 from .oracles import BudgetError, ball_sizes, cayley_bfs, properness_check
 from .trees import TreeSide, dist_from_base, format_vertex, vertex_of
 from .vectors import format_value
@@ -85,10 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_h_mode(spec) -> str:
-    return H_DIRAC_SIMPLEX if spec.is_finite else H_IDENTITY_LINE
-
-
 def _fraction(text: str, what: str) -> Fraction:
     """Fraction(text), naming the argument when its denominator is zero."""
     try:
@@ -118,7 +114,7 @@ def _cmd_embed(args) -> int:
     spec = parse_group(args.group)
     x = parse_element(spec, args.element)
     tree_mode = TreeMode.parse(args.tree_mode)
-    vec = sigma(x, tree_mode, _default_h_mode(spec))
+    vec = sigma(x, tree_mode, lamp_mode(spec))
     for line in vec.dump_lines():
         print(line)
     print(f"norm2\t{format_value(vec.norm_squared())}")
@@ -142,7 +138,7 @@ def _cmd_ball(args) -> int:
 def _cmd_properness(args) -> int:
     spec = parse_group(args.group)
     radius = _fraction(args.radius, "radius")
-    report = properness_check(spec, radius, args.p, _default_h_mode(spec), budget=args.budget)
+    report = properness_check(spec, radius, args.p, budget=args.budget)
     if args.format == "csv":
         print("key,value")
         for line in report.lines():
@@ -159,7 +155,7 @@ def _cmd_compress(args) -> int:
         raise ValueError(f"buckets must be >= 0, got {args.buckets}")
     spec = parse_group(args.group)
     tree_mode = TreeMode.parse(args.tree_mode)
-    samples = sample_pairs(spec, tree_mode, _default_h_mode(spec), args.scale, args.count, args.seed)
+    samples = sample_pairs(spec, tree_mode, lamp_mode(spec), args.scale, args.count, args.seed)
     if args.emit == "samples":
         print("wordLength,embeddedDist")
         for s in samples:

@@ -28,7 +28,9 @@ from .basegroups import GroupSpec
 from .embeddings import (
     TreeMode,
     identity_distance_squared,
+    lamp_mode,
     lipschitz_constants,
+    validate_h_mode,
 )
 from .wreath import WreathElement
 
@@ -136,16 +138,17 @@ def sample_pairs(
     bulk draw reproduces exactly that stream, so sample lists match those of
     the earlier one-`randrange`-per-step sampler.
     """
+    validate_h_mode(spec, h_mode)
     if count < 1:
         raise ValueError("need at least one sample")
     if scale < 0:
         raise ValueError(f"scale must be >= 0, got {scale}")
     out = []
-    tm, hm = str(tree_mode), h_mode
+    tm, hm = str(tree_mode), lamp_mode(spec)
     for i in range(count):
         rng = random.Random(f"{seed}/{i}")
         y = _random_word(spec, rng, rng.randrange(scale + 1))
-        dist = math.sqrt(identity_distance_squared(y, tree_mode, h_mode))
+        dist = math.sqrt(identity_distance_squared(y, tree_mode))
         out.append(DistortionSample(y.word_length(), dist, tm, hm))
     return out
 
@@ -154,7 +157,8 @@ def audit_lipschitz(
     samples: Sequence[DistortionSample], spec: GroupSpec, tree_mode: TreeMode, h_mode: str
 ) -> list[DistortionSample]:
     """Samples violating the upper line dist <= (C+ + C- + C) * word length."""
-    c = sum(lipschitz_constants(spec, tree_mode, h_mode))
+    validate_h_mode(spec, h_mode)
+    c = sum(lipschitz_constants(spec, tree_mode))
     return [s for s in samples if s.embedded_dist > c * s.word_length]
 
 
@@ -166,6 +170,7 @@ def audit_injectivity_gap(
     a lamp, by a `lamp_displacement` >= 1, or its nonzero shift moves both
     base vertices, and distinct vertices of either tree embed at least 1
     apart (the edge next to the farther one keeps an uncancelled charge)."""
+    validate_h_mode(spec, h_mode)
     return [s for s in samples if s.word_length >= 1 and s.embedded_dist < 1]
 
 

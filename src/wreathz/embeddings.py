@@ -68,15 +68,19 @@ class TreeMode:
         return self.kind if self.kind == "cocycle" else f"guka:{self.eps}"
 
 
+def lamp_mode(spec: GroupSpec) -> str:
+    """The one lamp embedding each base group has: the simplex for Z/k, the
+    line for Z.  Every lamp kernel below follows from `spec.is_finite`."""
+    return H_DIRAC_SIMPLEX if spec.is_finite else H_IDENTITY_LINE
+
+
 def validate_h_mode(spec: GroupSpec, h_mode: str):
-    if h_mode == H_IDENTITY_LINE:
-        if spec.is_finite:
-            raise ValueError("the identity-line embedding needs integer lamps")
-    elif h_mode == H_DIRAC_SIMPLEX:
-        if not spec.is_finite:
-            raise ValueError("the simplex embedding needs a finite cyclic lamp group")
-    else:
-        raise ValueError(f"unknown lamp embedding mode {h_mode!r}")
+    """Reject a lamp embedding mode other than `lamp_mode(spec)`.  The entry
+    points that still take a mode (`sigma`, `gamma_action_on_sum`, and
+    `sample_pairs`, the two sampler audits and `properness_cross_check`
+    elsewhere) call this once and read the mode no further."""
+    if h_mode != lamp_mode(spec):
+        raise ValueError(f"{spec} takes the {lamp_mode(spec)} lamp embedding, not {h_mode!r}")
 
 
 def weighted_tree_embed(v: TreeVertex, base: TreeVertex, eps) -> SparseVector:
@@ -107,29 +111,29 @@ def iota(v: TreeVertex, base: TreeVertex) -> SparseVector:
     return cocycle(base, v)
 
 
-def lamp_displacement(spec: GroupSpec, value: int, h_mode: str) -> int:
+def lamp_displacement(spec: GroupSpec, value: int) -> int:
     """The exact norm of a lamp block, `lamp_component` at any index: |value|
     on the line, diam * [value != identity] on the simplex."""
-    if h_mode == H_IDENTITY_LINE:
+    if not spec.is_finite:
         return abs(value)
     return spec.diameter if value else 0
 
 
-def _lamp_items(spec: GroupSpec, index: int, value: int, h_mode: str) -> list:
+def _lamp_items(spec: GroupSpec, index: int, value: int) -> list:
     """The (key, value) items of `lamp_component`."""
     if not value:
         return []
-    if h_mode == H_IDENTITY_LINE:
+    if not spec.is_finite:
         return [(LampCoord(index, 0), value)]
     scale = spec.diameter / math.sqrt(2)
     return [(LampCoord(index, value), scale), (LampCoord(index, 0), -scale)]
 
 
-def lamp_component(spec: GroupSpec, index: int, value: int, h_mode: str) -> SparseVector:
+def lamp_component(spec: GroupSpec, index: int, value: int) -> SparseVector:
     """Lamp block of the assembled map: the base embedding recentred so the
     identity maps to zero (off-support lamps must contribute nothing), keyed
     at the lamp's own index."""
-    return SparseVector(_lamp_items(spec, index, value, h_mode))
+    return SparseVector(_lamp_items(spec, index, value))
 
 
 def _tree_component(x: WreathElement, side: TreeSide, tree_mode: TreeMode) -> SparseVector:
@@ -148,12 +152,12 @@ def sigma(x: WreathElement, tree_mode: TreeMode, h_mode: str) -> SparseVector:
     items = [*_tree_component(x, TreeSide.PLUS, tree_mode).items()]
     items += _tree_component(x, TreeSide.MINUS, tree_mode).items()
     for pos, value in x.lamps:
-        items += _lamp_items(x.spec, pos, value, h_mode)
+        items += _lamp_items(x.spec, pos, value)
     return SparseVector(items)
 
 
-def embedded_distance(x: WreathElement, y: WreathElement, tree_mode: TreeMode, h_mode: str) -> float:
-    return (sigma(x, tree_mode, h_mode) - sigma(y, tree_mode, h_mode)).norm()
+def embedded_distance(x: WreathElement, y: WreathElement, tree_mode: TreeMode) -> float:
+    return (sigma(x, tree_mode, lamp_mode(x.spec)) - sigma(y, tree_mode, lamp_mode(y.spec))).norm()
 
 
 # Per weight exponent e2, the prefix sums of float(k) ** e2 over k >= 1, grown
@@ -163,13 +167,12 @@ def embedded_distance(x: WreathElement, y: WreathElement, tree_mode: TreeMode, h
 _WEIGHT_SUMS: dict[float, list] = {}
 
 
-def identity_distance_squared(x: WreathElement, tree_mode: TreeMode, h_mode: str):
+def identity_distance_squared(x: WreathElement, tree_mode: TreeMode):
     """|sigma(x) - sigma(identity)|^2 without materializing vectors.
 
-    Exact integer for the cocycle + identity-line/simplex modes with integer
-    squared lamp norms; float as soon as weighted trees enter.
+    Exact integer for the cocycle tree mode, whose lamp blocks have integer
+    squared norms; float as soon as weighted trees enter.
     """
-    validate_h_mode(x.spec, h_mode)
     dp = dist_from_base(x, TreeSide.PLUS)
     dm = dist_from_base(x, TreeSide.MINUS)
     if tree_mode.kind == "cocycle":
@@ -185,10 +188,10 @@ def identity_distance_squared(x: WreathElement, tree_mode: TreeMode, h_mode: str
         total = sums[dp]
         total += sums[dm]
     # lamp_displacement(value)^2 summed inline: this runs once per sample.
-    if h_mode == H_IDENTITY_LINE:
-        total += sum(v * v for _, v in x.lamps)
-    else:
+    if x.spec.is_finite:
         total += x.spec.diameter ** 2 * len(x.lamps)
+    else:
+        total += sum(v * v for _, v in x.lamps)
     return total
 
 
@@ -247,10 +250,11 @@ def gamma_action_on_sum(g: WreathElement, vec: SparseVector, h_mode: str) -> Spa
     group's own action on its coordinates; the translation is sigma(g).
     Weighted-tree coordinates have no equivariant action and are rejected.
     """
-    translation = sigma(g, TreeMode.cocycle(), h_mode)
+    validate_h_mode(g.spec, h_mode)
     spec, n = g.spec, g.shift
+    translation = sigma(g, TreeMode.cocycle(), lamp_mode(spec))
     lamps = dict(g.lamps)
-    simplex = h_mode == H_DIRAC_SIMPLEX
+    simplex = spec.is_finite
     items = []
     for key, value in vec.items():
         if isinstance(key, SignedEdge):
@@ -290,7 +294,7 @@ def _weighted_step_bound(eps: Fraction) -> float:
     return math.ceil(math.sqrt(1 + head + tail) * 10_000) / 10_000
 
 
-def lipschitz_constants(spec: GroupSpec, tree_mode: TreeMode, h_mode: str) -> tuple[float, float, float]:
+def lipschitz_constants(spec: GroupSpec, tree_mode: TreeMode) -> tuple[float, float, float]:
     """Per-component Lipschitz constants (plus tree, minus tree, lamps).
 
     A generator moves each tree vertex by at most one edge.  Cocycle trees
@@ -300,5 +304,5 @@ def lipschitz_constants(spec: GroupSpec, tree_mode: TreeMode, h_mode: str) -> tu
     by the largest displacement of a generator value.
     """
     c_tree = 1.0 if tree_mode.kind == "cocycle" else _weighted_step_bound(tree_mode.eps)
-    c_lamp = float(max(lamp_displacement(spec, v, h_mode) for v in spec.generator_values()))
+    c_lamp = float(max(lamp_displacement(spec, v) for v in spec.generator_values()))
     return (c_tree, c_tree, c_lamp)

@@ -23,7 +23,7 @@ from itertools import accumulate, repeat
 from operator import floordiv, itemgetter, mod, sub
 
 from .basegroups import GroupSpec
-from .embeddings import lamp_displacement, validate_h_mode
+from .embeddings import lamp_displacement, lamp_mode, validate_h_mode
 from .trees import TreeSide, TreeVertex, dist_from_base, truncated_neighbors
 from .wreath import WreathElement
 
@@ -247,10 +247,10 @@ def tree_bfs_dists(
     return dists
 
 
-def _factor_costs_pth(spec: GroupSpec, values, p: int, h_mode: str) -> dict[int, int]:
+def _factor_costs_pth(spec: GroupSpec, values, p: int) -> dict[int, int]:
     """lamp_displacement(value)^p for each of the values: the per-call table
     the properness filters read lamp costs from."""
-    return {v: lamp_displacement(spec, v, h_mode) ** p for v in values}
+    return {v: lamp_displacement(spec, v) ** p for v in values}
 
 
 def _distance_pth(x: WreathElement, p: int, costs: dict[int, int]) -> int:
@@ -259,17 +259,18 @@ def _distance_pth(x: WreathElement, p: int, costs: dict[int, int]) -> int:
     return total + sum(map(costs.__getitem__, map(_value, x.lamps)))
 
 
-def product_distance_pth(x: WreathElement, p: int, h_mode: str) -> int:
+def product_distance_pth(x: WreathElement, p: int) -> int:
     """d(z, x.z)^p in the product of the two trees (graph metric) and the
     lamp factors, for the orbit of the canonical base point z."""
-    return _distance_pth(x, p, _factor_costs_pth(x.spec, map(_value, x.lamps), p, h_mode))
+    return _distance_pth(x, p, _factor_costs_pth(x.spec, map(_value, x.lamps), p))
 
 
 @dataclass(frozen=True)
 class PropernessReport:
     """Exact count of group elements moving the base point at most `radius`;
     `candidate_count` is the size of the finiteness box (shift and support
-    within [-r, r], values in `value_ball`), not what the search stores."""
+    within [-r, r], values in `value_ball`), not what the search stores.
+    `h_mode` is the label `lamp_mode` gives the group."""
 
     group: str
     radius: Fraction
@@ -295,7 +296,7 @@ class PropernessReport:
         ]
 
 
-def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int, h_mode: str) -> int:
+def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int) -> int:
     """A word-length bound covering every element that moves the base point
     at most `radius`: maximize d+ + d- + sum of lamp displacements over the
     feasible component combinations (word length never exceeds d+ + d- plus
@@ -306,7 +307,7 @@ def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int, h_mode: 
     budget c <= floor(R^p)."""
     r = int(radius)
     budget = int(Fraction(radius) ** p)
-    sizes = sorted({lamp_displacement(spec, v, h_mode) for v in _value_ball(spec, radius, h_mode)})
+    sizes = sorted({lamp_displacement(spec, v) for v in _value_ball(spec, radius)})
     rows = [[0] * (budget + 1)]
     for _ in range(2 * r + 1):
         best = rows[-1]
@@ -325,11 +326,11 @@ def properness_search_radius(spec: GroupSpec, radius: Fraction, p: int, h_mode: 
     return max(dp + dm + rows[dp + dm + 1][budget - dp**p - dm**p] for dp, dm in pairs)
 
 
-def _value_ball(spec: GroupSpec, radius: Fraction, h_mode: str) -> tuple[int, ...]:
-    return tuple(v for v in spec.ball(int(radius)) if v and lamp_displacement(spec, v, h_mode) <= radius)
+def _value_ball(spec: GroupSpec, radius: Fraction) -> tuple[int, ...]:
+    return tuple(v for v in spec.ball(int(radius)) if v and lamp_displacement(spec, v) <= radius)
 
 
-def _properness(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None):
+def _properness(spec: GroupSpec, radius, p: int, budget: int | None):
     """Validate the inputs and filter the candidate family once.  Returns
     (report, limit, members): the report, the integer bound on
     d(z, gamma z)^p and the set of candidates within it: each shift in
@@ -340,15 +341,14 @@ def _properness(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None
     if p < 1 or int(p) != p:
         raise ValueError(f"the exponent must be an integer >= 1, got {p}")
     p = int(p)
-    validate_h_mode(spec, h_mode)
     radius = Fraction(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     # An integer D is at most R^p = a^p / b^p exactly when b^p * D <= a^p,
     # that is when D <= a^p // b^p.
     limit = radius.numerator**p // radius.denominator**p
-    value_ball = _value_ball(spec, radius, h_mode)
-    costs = _factor_costs_pth(spec, value_ball, p, h_mode)
+    value_ball = _value_ball(spec, radius)
+    costs = _factor_costs_pth(spec, value_ball, p)
     budget = element_budget(budget)
     r = int(radius)
     positions = range(-r, r + 1)  # also the shifts
@@ -367,20 +367,18 @@ def _properness(spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None
     candidates = (WreathElement(spec, lamps, n) for lamps in configs for n in positions)
     members = {x for x in candidates if _distance_pth(x, p, costs) <= limit}
     box = (len(value_ball) + 1) ** (2 * r + 1) * (2 * r + 1)
-    report = PropernessReport(str(spec), radius, p, h_mode, len(members), box, r, r, value_ball)
+    report = PropernessReport(str(spec), radius, p, lamp_mode(spec), len(members), box, r, r, value_ball)
     return report, limit, members
 
 
-def properness_check(
-    spec: GroupSpec, radius, p: int, h_mode: str, budget: int | None = None
-) -> PropernessReport:
+def properness_check(spec: GroupSpec, radius, p: int, budget: int | None = None) -> PropernessReport:
     """Count the elements with d(z, gamma z) <= radius exactly, by filtering
     the finite candidate family of the finiteness argument.
 
     Exactness needs an integer exponent; the two trees always carry the
     graph metric.
     """
-    return _properness(spec, radius, p, h_mode, budget)[0]
+    return _properness(spec, radius, p, budget)[0]
 
 
 def properness_cross_check(
@@ -389,9 +387,10 @@ def properness_cross_check(
     """Two-sided count: the candidate-family filter against an exhaustive
     scan of the Cayley ball whose radius provably covers every solution.
     Returns (report, ball-scan count, sets agree)."""
-    report, limit, members = _properness(spec, radius, p, h_mode, budget)
-    scan_radius = properness_search_radius(spec, report.radius, report.p, h_mode)
+    validate_h_mode(spec, h_mode)
+    report, limit, members = _properness(spec, radius, p, budget)
+    scan_radius = properness_search_radius(spec, report.radius, report.p)
     ball = cayley_bfs(spec, scan_radius, budget)
-    costs = _factor_costs_pth(spec, spec.ball(scan_radius), report.p, h_mode)
+    costs = _factor_costs_pth(spec, spec.ball(scan_radius), report.p)
     from_ball = {x for x in ball if _distance_pth(x, report.p, costs) <= limit}
     return report, len(from_ball), members == from_ball

@@ -22,12 +22,12 @@ from .compression import (
     sample_pairs,
 )
 from .embeddings import (
-    H_DIRAC_SIMPLEX,
     TreeMode,
     affine_alpha,
     cocycle,
     gamma_action_on_sum,
     iota,
+    lamp_mode,
     lipschitz_constants,
     sigma,
     weighted_tree_embed,
@@ -315,7 +315,7 @@ def check_cocycle_identities(cfg: VerifyConfig):
 def check_equivariance(cfg: VerifyConfig):
     rng = random.Random(cfg.seed + 5)
     spec = cyclic(2)
-    tree_mode = TreeMode.cocycle()
+    tree_mode, mode = TreeMode.cocycle(), lamp_mode(spec)
     base = base_vertex(spec, TreeSide.PLUS)
     for _ in range(cfg.triples):
         g = random_element(spec, rng)
@@ -329,17 +329,13 @@ def check_equivariance(cfg: VerifyConfig):
         v = vertex_of(h, TreeSide.PLUS)
         if affine_alpha(g, base)(iota(v, base)) != iota(act(g, v), base):
             return False, "tree embedding is not equivariant"
-        if gamma_action_on_sum(g, sigma(x, tree_mode, H_DIRAC_SIMPLEX), H_DIRAC_SIMPLEX) != sigma(
-            g * x, tree_mode, H_DIRAC_SIMPLEX
-        ):
+        if gamma_action_on_sum(g, sigma(x, tree_mode, mode), mode) != sigma(g * x, tree_mode, mode):
             return False, f"assembled map not equivariant at g={format_element(g)}"
     for _ in range(100):
         g = random_element(spec, rng)
-        a = sigma(random_element(spec, rng), tree_mode, H_DIRAC_SIMPLEX)
-        b = sigma(random_element(spec, rng), tree_mode, H_DIRAC_SIMPLEX)
-        moved = gamma_action_on_sum(g, a, H_DIRAC_SIMPLEX) - gamma_action_on_sum(
-            g, b, H_DIRAC_SIMPLEX
-        )
+        a = sigma(random_element(spec, rng), tree_mode, mode)
+        b = sigma(random_element(spec, rng), tree_mode, mode)
+        moved = gamma_action_on_sum(g, a, mode) - gamma_action_on_sum(g, b, mode)
         if abs(moved.norm() - (a - b).norm()) > 1e-9:
             return False, "action is not isometric"
     return True, f"homomorphism + equivariance on {cfg.triples} seeded cases, exact"
@@ -350,7 +346,7 @@ def check_weighted_embedding(cfg: VerifyConfig):
     spec = cyclic(2)
     base = base_vertex(spec, TreeSide.PLUS)
     quarter = Fraction(1, 4)
-    lipschitz = lipschitz_constants(spec, TreeMode.guka(quarter), H_DIRAC_SIMPLEX)[0]
+    lipschitz = lipschitz_constants(spec, TreeMode.guka(quarter))[0]
     worst_step = 0.0
     fitted_lower = {quarter: float("inf"), Fraction(1, 2): float("inf")}
     pairs = 0
@@ -381,9 +377,9 @@ def check_weighted_embedding(cfg: VerifyConfig):
 def check_sigma_audits(cfg: VerifyConfig):
     spec = cyclic(2)
     tree_mode = TreeMode.cocycle()
-    samples = sample_pairs(spec, tree_mode, H_DIRAC_SIMPLEX, cfg.scale, cfg.samples, cfg.seed)
-    lip = audit_lipschitz(samples, spec, tree_mode, H_DIRAC_SIMPLEX)
-    gap = audit_injectivity_gap(samples, spec, tree_mode, H_DIRAC_SIMPLEX)
+    samples = sample_pairs(spec, tree_mode, lamp_mode(spec), cfg.scale, cfg.samples, cfg.seed)
+    lip = audit_lipschitz(samples, spec, tree_mode, lamp_mode(spec))
+    gap = audit_injectivity_gap(samples, spec, tree_mode, lamp_mode(spec))
     if lip or gap:
         return False, f"{len(lip)} Lipschitz and {len(gap)} separation violations"
     try:
@@ -426,13 +422,13 @@ def check_bound_calculator(cfg: VerifyConfig):
 
 def check_properness(cfg: VerifyConfig):
     spec = cyclic(2)
-    if properness_check(spec, 0, 1, H_DIRAC_SIMPLEX).count != 1:
+    if properness_check(spec, 0, 1).count != 1:
         return False, "radius 0 should only fix the identity"
     counts = {}
     for p in (1, 2):
         prev = 1
         for radius in (1, 2, 3, 4):
-            report, cross, agree = properness_cross_check(spec, radius, p, H_DIRAC_SIMPLEX)
+            report, cross, agree = properness_cross_check(spec, radius, p, lamp_mode(spec))
             if not agree or report.count != cross:
                 return False, f"cross-check disagrees at p={p}, R={radius}"
             if report.count < prev:
@@ -447,8 +443,8 @@ def check_properness(cfg: VerifyConfig):
 def check_determinism(cfg: VerifyConfig):
     spec = cyclic(2)
     tree_mode = TreeMode.cocycle()
-    a = sample_pairs(spec, tree_mode, H_DIRAC_SIMPLEX, 100, 2000, cfg.seed)
-    b = sample_pairs(spec, tree_mode, H_DIRAC_SIMPLEX, 100, 2000, cfg.seed)
+    a = sample_pairs(spec, tree_mode, lamp_mode(spec), 100, 2000, cfg.seed)
+    b = sample_pairs(spec, tree_mode, lamp_mode(spec), 100, 2000, cfg.seed)
     if a != b:
         return False, "same seed produced different samples"
     if fit_envelope(a) != fit_envelope(b):

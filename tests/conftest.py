@@ -3,7 +3,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from wreathz import DistortionSample, H_DIRAC_SIMPLEX, TreeMode, cyclic, sample_pairs
+from wreathz import DistortionSample, TreeMode, cyclic, lamp_mode, sample_pairs
 
 ACCEPTANCE_SEED = 424242
 ACCEPTANCE_SCALE = 1000
@@ -23,7 +23,7 @@ def distortion_run() -> SampleRun:
     samples = sample_pairs(
         cyclic(2),
         TreeMode.cocycle(),
-        H_DIRAC_SIMPLEX,
+        lamp_mode(cyclic(2)),
         ACCEPTANCE_SCALE,
         ACCEPTANCE_COUNT,
         ACCEPTANCE_SEED,

@@ -10,7 +10,7 @@ and envelope criteria share one 10^5-sample run (`distortion_run`).
 
 import time
 
-from wreathz import H_DIRAC_SIMPLEX, TreeMode, cyclic, fit_envelope
+from wreathz import TreeMode, cyclic, fit_envelope, lamp_mode
 from wreathz.compression import audit_injectivity_gap, audit_lipschitz
 from wreathz.verify import (
     ENVELOPE_EXPONENT_FLOOR,
@@ -77,8 +77,8 @@ def test_criterion_07_properness_counts():
 
 def test_criterion_08_lipschitz_and_gap_audits(distortion_run):
     samples = distortion_run.samples
-    lip = audit_lipschitz(samples, Z2, COCYCLE, H_DIRAC_SIMPLEX)
-    gap = audit_injectivity_gap(samples, Z2, COCYCLE, H_DIRAC_SIMPLEX)
+    lip = audit_lipschitz(samples, Z2, COCYCLE, lamp_mode(Z2))
+    gap = audit_injectivity_gap(samples, Z2, COCYCLE, lamp_mode(Z2))
     report(
         8,
         not lip and not gap,

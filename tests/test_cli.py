@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import wreathz
-from wreathz import H_DIRAC_SIMPLEX, TreeMode, cyclic, parse_element, sample_pairs, verify
+from wreathz import TreeMode, cyclic, lamp_mode, parse_element, sample_pairs, verify
 from wreathz.cli import main
 from wreathz.compression import lower_envelope
 
@@ -162,7 +162,7 @@ def test_compress_fit_and_samples(capsys):
 
     code, out4, _ = run(capsys, *args, "--emit", "envelope")
     assert out4.splitlines()[0] == "bucket,minDist"
-    samples = sample_pairs(cyclic(2), TreeMode.cocycle(), H_DIRAC_SIMPLEX, 60, 400, 5)
+    samples = sample_pairs(cyclic(2), TreeMode.cocycle(), lamp_mode(cyclic(2)), 60, 400, 5)
     points = lower_envelope(samples)
     assert out4.splitlines()[1:] == [f"{wl},{d:.12f}" for wl, d in points]
 
@@ -173,7 +173,7 @@ def test_compress_envelope_honours_buckets(capsys):
     assert code == 0
     code, out, _ = run(capsys, *args, "--buckets", "3")
     assert code == 0 and out != per_length
-    samples = sample_pairs(cyclic(2), TreeMode.cocycle(), H_DIRAC_SIMPLEX, 50, 200, 1)
+    samples = sample_pairs(cyclic(2), TreeMode.cocycle(), lamp_mode(cyclic(2)), 50, 200, 1)
     assert out.splitlines() == ["bucket,minDist"] + [f"{wl},{d:.12f}" for wl, d in lower_envelope(samples, 3)]
 
 

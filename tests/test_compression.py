@@ -7,12 +7,11 @@ import pytest
 from wreathz import (
     INTEGERS,
     DistortionSample,
-    H_DIRAC_SIMPLEX,
-    H_IDENTITY_LINE,
     TreeMode,
     bounds,
     cyclic,
     fit_envelope,
+    lamp_mode,
     sample_pairs,
 )
 from wreathz.compression import (
@@ -53,7 +52,7 @@ def reference_random_word(spec, rng, length):
     return WreathElement(spec, tuple(sorted(lamps.items())), n)
 
 
-def reference_distance_squared(x, tree_mode, h_mode):
+def reference_distance_squared(x, tree_mode):
     """|sigma(x)|^2 from the tree distances to the base vertices: d+ + d- in
     cocycle mode, else each tree's weights float(k) ** (2 eps), k = 1..d,
     added one at a time, the plain sequential sum."""
@@ -69,16 +68,16 @@ def reference_distance_squared(x, tree_mode, h_mode):
                 side += float(k) ** e2
             sides.append(side)
         total = sides[0] + sides[1]
-    return total + sum(lamp_displacement(x.spec, v, h_mode) ** 2 for _, v in x.lamps)
+    return total + sum(lamp_displacement(x.spec, v) ** 2 for _, v in x.lamps)
 
 
-def reference_sample_pairs(spec, tree_mode, h_mode, scale, count, seed):
+def reference_sample_pairs(spec, tree_mode, scale, count, seed):
     out = []
     for i in range(count):
         rng = random.Random(f"{seed}/{i}")
         y = reference_random_word(spec, rng, rng.randrange(scale + 1))
-        dist = math.sqrt(reference_distance_squared(y, tree_mode, h_mode))
-        out.append(DistortionSample(y.word_length(), dist, str(tree_mode), h_mode))
+        dist = math.sqrt(reference_distance_squared(y, tree_mode))
+        out.append(DistortionSample(y.word_length(), dist, str(tree_mode), lamp_mode(spec)))
     return out
 
 
@@ -93,32 +92,28 @@ class CountingRandom(random.Random):
         return super().getrandbits(k)
 
 
-SAMPLER_CONFIGS = (
-    (Z2, H_DIRAC_SIMPLEX),  # 3 moves
-    (cyclic(3), H_DIRAC_SIMPLEX),  # 4 moves
-    (INTEGERS, H_IDENTITY_LINE),  # 4 moves
-)
+SAMPLER_GROUPS = (Z2, cyclic(3), INTEGERS)  # 3, 4 and 4 moves
 
 
 GUKA_QUARTER = TreeMode.guka(Fraction(1, 4))
 
 
 @pytest.mark.parametrize(
-    "spec, tree_mode, h_mode",
-    [pytest.param(spec, COCYCLE, h_mode, id=f"{spec}-{h_mode}") for spec, h_mode in SAMPLER_CONFIGS]
+    "spec, tree_mode",
+    [pytest.param(spec, COCYCLE, id=f"{spec}-{lamp_mode(spec)}") for spec in SAMPLER_GROUPS]
     + [
-        pytest.param(spec, tree_mode, h_mode, id=f"{spec}-{tree_mode}-{h_mode}")
-        for spec, tree_mode, h_mode in (
-            (INTEGERS, GUKA_QUARTER, H_IDENTITY_LINE),
-            (Z2, TreeMode.guka(Fraction(2, 5)), H_DIRAC_SIMPLEX),
-            (INTEGERS, TreeMode.guka(Fraction(1, 2)), H_IDENTITY_LINE),
+        pytest.param(spec, tree_mode, id=f"{spec}-{tree_mode}-{lamp_mode(spec)}")
+        for spec, tree_mode in (
+            (INTEGERS, GUKA_QUARTER),
+            (Z2, TreeMode.guka(Fraction(2, 5))),
+            (INTEGERS, TreeMode.guka(Fraction(1, 2))),
         )
     ],
 )
 @pytest.mark.parametrize("scale", [0, 1, 3, 1000])
-def test_sample_pairs_equal_per_step_reference(spec, tree_mode, h_mode, scale):
-    got = sample_pairs(spec, tree_mode, h_mode, scale, 1000, 977)
-    assert got == reference_sample_pairs(spec, tree_mode, h_mode, scale, 1000, 977)
+def test_sample_pairs_equal_per_step_reference(spec, tree_mode, scale):
+    got = sample_pairs(spec, tree_mode, lamp_mode(spec), scale, 1000, 977)
+    assert got == reference_sample_pairs(spec, tree_mode, scale, 1000, 977)
 
 
 def test_guka_distance_past_the_first_weight_table(monkeypatch):
@@ -128,14 +123,12 @@ def test_guka_distance_past_the_first_weight_table(monkeypatch):
     far = WreathElement(INTEGERS, ((-40, 2), (700, -1)), -90)
     for tree_mode in (GUKA_QUARTER, TreeMode.guka(Fraction(1, 2))):
         for x in (near, far, near):
-            assert identity_distance_squared(x, tree_mode, H_IDENTITY_LINE) == reference_distance_squared(
-                x, tree_mode, H_IDENTITY_LINE
-            )
+            assert identity_distance_squared(x, tree_mode) == reference_distance_squared(x, tree_mode)
     # entry 0 is the int 0, as the old empty float sum was
-    assert type(identity_distance_squared(WreathElement.identity(INTEGERS), GUKA_QUARTER, H_IDENTITY_LINE)) is int
+    assert type(identity_distance_squared(WreathElement.identity(INTEGERS), GUKA_QUARTER)) is int
 
 
-@pytest.mark.parametrize("spec", [s for s, _ in SAMPLER_CONFIGS] + [cyclic(4), cyclic(5)], ids=str)
+@pytest.mark.parametrize("spec", [*SAMPLER_GROUPS, cyclic(4), cyclic(5)], ids=str)
 def test_random_word_equals_reference_across_refills(spec):
     assert _random_word(spec, CountingRandom(1), 0) == WreathElement.identity(spec)
     refilled = 0
@@ -170,8 +163,10 @@ def test_one_sided_walk_leaves_the_signed_byte_range(word, shift):
     assert reference_random_word(Z2, ConstantRandom(word), 1000) == WreathElement(Z2, (), shift)
 
 
-@pytest.mark.parametrize("spec, h_mode", SAMPLER_CONFIGS + ((cyclic(5), H_DIRAC_SIMPLEX),), ids=str)
-def test_squared_distance_bounds_word_length_exactly(spec, h_mode):
+@pytest.mark.parametrize(
+    "spec", [pytest.param(spec, id=f"{spec}-{lamp_mode(spec)}") for spec in (*SAMPLER_GROUPS, cyclic(5))]
+)
+def test_squared_distance_bounds_word_length_exactly(spec):
     # ||sigma(x)||^2 >= |x| in every mode, compared before any square root:
     # an exact int in cocycle mode, a float against an int in guka mode
     guka = [TreeMode.guka(Fraction(e)) for e in ("1/4", "2/5", "1/2")]
@@ -179,61 +174,59 @@ def test_squared_distance_bounds_word_length_exactly(spec, h_mode):
         rng = random.Random(f"audit/{i}")
         x = _random_word(spec, rng, rng.randrange(401))
         wl = x.word_length()
-        exact = identity_distance_squared(x, COCYCLE, h_mode)
+        exact = identity_distance_squared(x, COCYCLE)
         assert type(exact) is int and exact >= wl
         for tree_mode in guka:
-            assert identity_distance_squared(x, tree_mode, h_mode) >= wl
+            assert identity_distance_squared(x, tree_mode) >= wl
 
 
 def test_single_zero_length_sample():
-    samples = sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, 0, 1, 5)
-    assert samples == [
-        DistortionSample(0, 0.0, "cocycle", H_DIRAC_SIMPLEX)
-    ]
+    samples = sample_pairs(Z2, COCYCLE, lamp_mode(Z2), 0, 1, 5)
+    assert samples == [DistortionSample(0, 0.0, "cocycle", "dirac-simplex")]
 
 
 def test_sampling_is_deterministic():
-    a = sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, 120, 500, 17)
-    b = sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, 120, 500, 17)
+    a = sample_pairs(Z2, COCYCLE, lamp_mode(Z2), 120, 500, 17)
+    b = sample_pairs(Z2, COCYCLE, lamp_mode(Z2), 120, 500, 17)
     assert a == b
-    c = sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, 120, 500, 18)
+    c = sample_pairs(Z2, COCYCLE, lamp_mode(Z2), 120, 500, 18)
     assert a != c
 
 
 def test_samples_zero_iff_identity():
-    for s in sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, 60, 800, 23):
+    for s in sample_pairs(Z2, COCYCLE, lamp_mode(Z2), 60, 800, 23):
         assert (s.word_length == 0) == (s.embedded_dist == 0.0)
 
 
 def test_sample_distances_match_vector_route():
-    samples = sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, 12, 40, 3)
+    samples = sample_pairs(Z2, COCYCLE, lamp_mode(Z2), 12, 40, 3)
     # rebuild the words with the same seeds and compare against the full vectors
     e = WreathElement.identity(Z2)
     for i, s in enumerate(samples):
         rng = random.Random(f"3/{i}")
         y = _random_word(Z2, rng, rng.randrange(13))
         assert y.word_length() == s.word_length
-        assert embedded_distance(y, e, COCYCLE, H_DIRAC_SIMPLEX) == pytest.approx(
+        assert embedded_distance(y, e, COCYCLE) == pytest.approx(
             s.embedded_dist, rel=1e-9, abs=1e-9
         )
 
 
 def test_audits_pass_on_seeded_runs():
-    for spec, h_mode in ((Z2, H_DIRAC_SIMPLEX), (INTEGERS, H_IDENTITY_LINE)):
-        samples = sample_pairs(spec, COCYCLE, h_mode, 150, 2000, 41)
-        assert audit_lipschitz(samples, spec, COCYCLE, h_mode) == []
-        assert audit_injectivity_gap(samples, spec, COCYCLE, h_mode) == []
+    for spec in (Z2, INTEGERS):
+        samples = sample_pairs(spec, COCYCLE, lamp_mode(spec), 150, 2000, 41)
+        assert audit_lipschitz(samples, spec, COCYCLE, lamp_mode(spec)) == []
+        assert audit_injectivity_gap(samples, spec, COCYCLE, lamp_mode(spec)) == []
 
 
 def test_count_validation():
     with pytest.raises(ValueError):
-        sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, 10, 0, 1)
+        sample_pairs(Z2, COCYCLE, lamp_mode(Z2), 10, 0, 1)
     with pytest.raises(ValueError, match="scale must be >= 0"):
-        sample_pairs(Z2, COCYCLE, H_DIRAC_SIMPLEX, -1, 5, 1)
+        sample_pairs(Z2, COCYCLE, lamp_mode(Z2), -1, 5, 1)
 
 
 def fake(wl, d):
-    return DistortionSample(wl, d, "cocycle", H_DIRAC_SIMPLEX)
+    return DistortionSample(wl, d, "cocycle", lamp_mode(Z2))
 
 
 def test_fit_exact_square_root_law():

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from wreathz import (
     INTEGERS,
     DistortionSample,
-    H_DIRAC_SIMPLEX,
-    H_IDENTITY_LINE,
     SignedEdge,
     SparseVector,
     TreeMode,
@@ -30,11 +28,14 @@ from wreathz import (
     geodesic,
     geom_edge,
     iota,
+    lamp_mode,
+    properness_cross_check,
+    sample_pairs,
     sigma,
     vertex_of,
     weighted_tree_embed,
 )
-from wreathz.compression import audit_injectivity_gap
+from wreathz.compression import audit_injectivity_gap, audit_lipschitz
 from wreathz.embeddings import (
     _tree_component,
     identity_distance_squared,
@@ -243,17 +244,15 @@ def test_alpha_compose_requires_matching_base():
 
 def test_identity_line_examples():
     # a lamp value n embeds at n on the line, so distances are |a - b|
-    assert lamp_component(INTEGERS, 0, 0, H_IDENTITY_LINE) == SparseVector()
+    assert lamp_component(INTEGERS, 0, 0) == SparseVector()
     for a in range(-4, 5):
         for b in range(-4, 5):
-            d = lamp_component(INTEGERS, 0, a, H_IDENTITY_LINE) - lamp_component(
-                INTEGERS, 0, b, H_IDENTITY_LINE
-            )
+            d = lamp_component(INTEGERS, 0, a) - lamp_component(INTEGERS, 0, b)
             assert d.norm_squared() == (a - b) ** 2
 
 
 def test_dirac_simplex_example():
-    d = lamp_component(Z2, 0, 0, H_DIRAC_SIMPLEX) - lamp_component(Z2, 0, 1, H_DIRAC_SIMPLEX)
+    d = lamp_component(Z2, 0, 0) - lamp_component(Z2, 0, 1)
     assert d.norm() == pytest.approx(1.0, abs=1e-12)  # diam = 1
 
 
@@ -261,19 +260,16 @@ def test_simplex_distances_are_diameter_times_indicator():
     z7 = cyclic(7)
     for s in range(7):
         for t in range(7):
-            d = (
-                lamp_component(z7, 0, s, H_DIRAC_SIMPLEX) - lamp_component(z7, 0, t, H_DIRAC_SIMPLEX)
-            ).norm()
+            d = (lamp_component(z7, 0, s) - lamp_component(z7, 0, t)).norm()
             assert d == pytest.approx(0.0 if s == t else 3.0, abs=1e-12)
 
 
 def test_lamp_displacement_is_the_norm_of_the_lamp_block():
-    cases = [(INTEGERS, H_IDENTITY_LINE, range(-6, 7))]
-    cases += [(cyclic(k), H_DIRAC_SIMPLEX, range(k)) for k in (2, 3, 5, 8)]
-    for spec, h_mode, values in cases:
+    cases = [(INTEGERS, range(-6, 7))] + [(cyclic(k), range(k)) for k in (2, 3, 5, 8)]
+    for spec, values in cases:
         for value in values:
-            block = lamp_component(spec, 4, value, h_mode)
-            want = lamp_displacement(spec, value, h_mode)
+            block = lamp_component(spec, 4, value)
+            want = lamp_displacement(spec, value)
             assert block.norm() == pytest.approx(want, abs=1e-12)
 
 
@@ -289,39 +285,65 @@ def pinned_elements(draw):
 @given(pinned_elements())
 def test_identity_distance_squared_sums_lamp_displacements(x):
     # the sampler's inline lamp sums are lamp_displacement squared, exactly
-    h_mode = H_DIRAC_SIMPLEX if x.spec.is_finite else H_IDENTITY_LINE
-    lamps = sum(lamp_displacement(x.spec, v, h_mode) ** 2 for _, v in x.lamps)
+    lamps = sum(lamp_displacement(x.spec, v) ** 2 for _, v in x.lamps)
     want = dist_from_base(x, PLUS) + dist_from_base(x, TreeSide.MINUS) + lamps
-    got = identity_distance_squared(x, COCYCLE, h_mode)
+    got = identity_distance_squared(x, COCYCLE)
     assert got == want and type(got) is int
 
 
+def test_lamp_mode_follows_the_group():
+    assert [lamp_mode(spec) for spec in (Z2, cyclic(7), INTEGERS)] == ["dirac-simplex"] * 2 + ["identity-line"]
+
+
 def test_h_embed_mode_mismatch():
-    with pytest.raises(ValueError, match="integer lamps"):
-        validate_h_mode(Z2, H_IDENTITY_LINE)
-    with pytest.raises(ValueError, match="finite cyclic"):
-        validate_h_mode(INTEGERS, H_DIRAC_SIMPLEX)
-    with pytest.raises(ValueError, match="unknown lamp"):
+    with pytest.raises(ValueError, match="^Z/2 takes the dirac-simplex lamp embedding, not 'identity-line'$"):
+        validate_h_mode(Z2, lamp_mode(INTEGERS))
+    with pytest.raises(ValueError, match="^Z takes the identity-line lamp embedding, not 'dirac-simplex'$"):
+        validate_h_mode(INTEGERS, lamp_mode(Z2))
+    with pytest.raises(ValueError, match="^Z/2 takes the dirac-simplex lamp embedding, not 'fourier'$"):
         validate_h_mode(Z2, "fourier")
-    with pytest.raises(ValueError, match="integer lamps"):
-        sigma(el(Z2, {0: 1}, 0), COCYCLE, H_IDENTITY_LINE)
+    with pytest.raises(ValueError, match="^Z/2 takes the dirac-simplex lamp embedding, not 'identity-line'$"):
+        sigma(el(Z2, {0: 1}, 0), COCYCLE, lamp_mode(INTEGERS))
+
+
+# The entry points that still take a lamp mode, each called with valid other
+# arguments; each must reject every mode but lamp_mode(spec), before any work.
+MODE_ENTRY_POINTS = {
+    "sample_pairs": lambda spec, mode: sample_pairs(spec, COCYCLE, mode, 5, 3, 1),
+    "audit_lipschitz": lambda spec, mode: audit_lipschitz([], spec, COCYCLE, mode),
+    "audit_injectivity_gap": lambda spec, mode: audit_injectivity_gap([], spec, COCYCLE, mode),
+    "sigma": lambda spec, mode: sigma(el(spec, {0: 1}, 1), COCYCLE, mode),
+    "gamma_action_on_sum": lambda spec, mode: gamma_action_on_sum(el(spec, {0: 1}, 1), SparseVector(), mode),
+    "properness_cross_check": lambda spec, mode: properness_cross_check(spec, 1, 1, mode),
+}
+
+
+@pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
+@pytest.mark.parametrize("spec", (Z2, INTEGERS), ids=str)
+def test_mode_entry_points_reject_a_mode_the_group_does_not_take(entry, spec):
+    call = MODE_ENTRY_POINTS[entry]
+    call(spec, lamp_mode(spec))
+    other = lamp_mode(INTEGERS if spec.is_finite else Z2)
+    for mode in (other, "fourier"):
+        with pytest.raises(ValueError, match=f"^{spec} takes the {lamp_mode(spec)} lamp embedding, not '{mode}'$"):
+            call(spec, mode)
 
 
 # --- assembled embedding ---------------------------------------------------------
 
 
 def test_sigma_of_identity_is_zero():
-    assert sigma(WreathElement.identity(Z2), COCYCLE, H_DIRAC_SIMPLEX) == SparseVector()
+    assert sigma(WreathElement.identity(Z2), COCYCLE, lamp_mode(Z2)) == SparseVector()
 
 
 def test_sigma_pure_shift():
-    v = sigma(el(Z2, {}, 2), COCYCLE, H_DIRAC_SIMPLEX)
+    v = sigma(el(Z2, {}, 2), COCYCLE, lamp_mode(Z2))
     assert v.norm_squared() == 4  # 2 + 2 from the two trees
     assert v.norm() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sigma_single_lamp_at_origin():
-    v = sigma(el(Z2, {0: 1}, 0), COCYCLE, H_DIRAC_SIMPLEX)
+    v = sigma(el(Z2, {0: 1}, 0), COCYCLE, lamp_mode(Z2))
     assert v.norm_squared() == pytest.approx(1.0, abs=1e-12)  # 0 + 0 + 1
 
 
@@ -330,11 +352,10 @@ def test_sigma_single_lamp_at_origin():
 def test_sigma_equals_the_sum_of_its_components(x, tree_mode):
     # the one-pass build against the vector sum of its blocks, in both lamp
     # modes: same items in the same order, so the same bytes and norm
-    h_mode = H_DIRAC_SIMPLEX if x.spec.is_finite else H_IDENTITY_LINE
     want = _tree_component(x, PLUS, tree_mode) + _tree_component(x, TreeSide.MINUS, tree_mode)
     for pos, value in x.lamps:
-        want = want + lamp_component(x.spec, pos, value, h_mode)
-    got = sigma(x, tree_mode, h_mode)
+        want = want + lamp_component(x.spec, pos, value)
+    got = sigma(x, tree_mode, lamp_mode(x.spec))
     assert list(got.items()) == list(want.items())
     assert got.dump_lines() == want.dump_lines()
     norm = got.norm_squared()
@@ -344,17 +365,17 @@ def test_sigma_equals_the_sum_of_its_components(x, tree_mode):
 def test_identity_distance_squared_matches_vectors():
     rng = random.Random(25)
     modes = [
-        (Z2, COCYCLE, H_DIRAC_SIMPLEX),
-        (Z2, TreeMode.guka(Fraction(1, 4)), H_DIRAC_SIMPLEX),
-        (INTEGERS, COCYCLE, H_IDENTITY_LINE),
-        (INTEGERS, TreeMode.guka(Fraction(1, 2)), H_IDENTITY_LINE),
+        (Z2, COCYCLE),
+        (Z2, TreeMode.guka(Fraction(1, 4))),
+        (INTEGERS, COCYCLE),
+        (INTEGERS, TreeMode.guka(Fraction(1, 2))),
     ]
-    for spec, tree_mode, h_mode in modes:
+    for spec, tree_mode in modes:
         e = WreathElement.identity(spec)
         for _ in range(60):
             x = random_element(spec, rng)
-            fast = identity_distance_squared(x, tree_mode, h_mode)
-            slow = embedded_distance(x, e, tree_mode, h_mode) ** 2
+            fast = identity_distance_squared(x, tree_mode)
+            slow = embedded_distance(x, e, tree_mode) ** 2
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)
 
 
@@ -362,8 +383,8 @@ def test_identity_distance_squared_matches_vectors():
 
 
 def test_gamma_action_identity():
-    x = sigma(el(Z2, {0: 1, 2: 1}, -1), COCYCLE, H_DIRAC_SIMPLEX)
-    assert gamma_action_on_sum(WreathElement.identity(Z2), x, H_DIRAC_SIMPLEX) == x
+    x = sigma(el(Z2, {0: 1, 2: 1}, -1), COCYCLE, lamp_mode(Z2))
+    assert gamma_action_on_sum(WreathElement.identity(Z2), x, lamp_mode(Z2)) == x
 
 
 def test_gamma_action_equivariance_simplex_exact():
@@ -371,8 +392,8 @@ def test_gamma_action_equivariance_simplex_exact():
     for _ in range(300):
         g = random_element(Z2, rng)
         x = random_element(Z2, rng)
-        lhs = gamma_action_on_sum(g, sigma(x, COCYCLE, H_DIRAC_SIMPLEX), H_DIRAC_SIMPLEX)
-        assert lhs == sigma(g * x, COCYCLE, H_DIRAC_SIMPLEX)
+        lhs = gamma_action_on_sum(g, sigma(x, COCYCLE, lamp_mode(Z2)), lamp_mode(Z2))
+        assert lhs == sigma(g * x, COCYCLE, lamp_mode(Z2))
 
 
 def test_gamma_action_equivariance_line_exact():
@@ -380,65 +401,61 @@ def test_gamma_action_equivariance_line_exact():
     for _ in range(300):
         g = random_element(INTEGERS, rng)
         x = random_element(INTEGERS, rng)
-        lhs = gamma_action_on_sum(g, sigma(x, COCYCLE, H_IDENTITY_LINE), H_IDENTITY_LINE)
-        assert lhs == sigma(g * x, COCYCLE, H_IDENTITY_LINE)
+        lhs = gamma_action_on_sum(g, sigma(x, COCYCLE, lamp_mode(INTEGERS)), lamp_mode(INTEGERS))
+        assert lhs == sigma(g * x, COCYCLE, lamp_mode(INTEGERS))
 
 
 def test_gamma_action_is_isometric():
     rng = random.Random(28)
     for _ in range(100):
         g = random_element(Z2, rng)
-        a = sigma(random_element(Z2, rng), COCYCLE, H_DIRAC_SIMPLEX)
-        b = sigma(random_element(Z2, rng), COCYCLE, H_DIRAC_SIMPLEX)
-        lhs = (
-            gamma_action_on_sum(g, a, H_DIRAC_SIMPLEX)
-            - gamma_action_on_sum(g, b, H_DIRAC_SIMPLEX)
-        ).norm()
+        a = sigma(random_element(Z2, rng), COCYCLE, lamp_mode(Z2))
+        b = sigma(random_element(Z2, rng), COCYCLE, lamp_mode(Z2))
+        lhs = (gamma_action_on_sum(g, a, lamp_mode(Z2)) - gamma_action_on_sum(g, b, lamp_mode(Z2))).norm()
         assert lhs == pytest.approx((a - b).norm(), rel=1e-9, abs=1e-9)
 
 
 def test_gamma_action_is_an_action():
     rng = random.Random(30)
-    for spec, h_mode in ((Z2, H_DIRAC_SIMPLEX), (cyclic(3), H_DIRAC_SIMPLEX), (INTEGERS, H_IDENTITY_LINE)):
+    for spec in (Z2, cyclic(3), INTEGERS):
+        mode = lamp_mode(spec)
         for _ in range(50):
             g, h = random_element(spec, rng), random_element(spec, rng)
             # a sum of two images is not itself an image of sigma
-            probe = sigma(random_element(spec, rng), COCYCLE, h_mode) + sigma(
-                random_element(spec, rng), COCYCLE, h_mode
-            )
-            one_step = gamma_action_on_sum(g * h, probe, h_mode)
-            two_step = gamma_action_on_sum(g, gamma_action_on_sum(h, probe, h_mode), h_mode)
+            probe = sigma(random_element(spec, rng), COCYCLE, mode) + sigma(random_element(spec, rng), COCYCLE, mode)
+            one_step = gamma_action_on_sum(g * h, probe, mode)
+            two_step = gamma_action_on_sum(g, gamma_action_on_sum(h, probe, mode), mode)
             assert one_step == two_step
 
 
 def test_gamma_action_rejects_weighted_mode():
     x = el(Z2, {0: 1}, 0)
-    weighted = sigma(el(Z2, {0: 1}, 2), TreeMode.guka(Fraction(1, 4)), H_DIRAC_SIMPLEX)
+    weighted = sigma(el(Z2, {0: 1}, 2), TreeMode.guka(Fraction(1, 4)), lamp_mode(Z2))
     with pytest.raises(ValueError, match="no equivariant action"):
-        gamma_action_on_sum(x, weighted, H_DIRAC_SIMPLEX)
+        gamma_action_on_sum(x, weighted, lamp_mode(Z2))
 
 
 # --- audit constants ----------------------------------------------------------------
 
 
 def test_lipschitz_constants_and_gap():
-    assert lipschitz_constants(Z2, COCYCLE, H_DIRAC_SIMPLEX) == (1.0, 1.0, 1.0)
-    assert lipschitz_constants(cyclic(7), COCYCLE, H_DIRAC_SIMPLEX) == (1.0, 1.0, 3.0)
-    assert lipschitz_constants(INTEGERS, TreeMode.guka(Fraction(1, 4)), H_IDENTITY_LINE) == (
+    assert lipschitz_constants(Z2, COCYCLE) == (1.0, 1.0, 1.0)
+    assert lipschitz_constants(cyclic(7), COCYCLE) == (1.0, 1.0, 3.0)
+    assert lipschitz_constants(INTEGERS, TreeMode.guka(Fraction(1, 4))) == (
         1.0602,
         1.0602,
         1.0,
     )
-    assert lipschitz_constants(Z2, TreeMode.guka(Fraction(2, 5)), H_DIRAC_SIMPLEX) == (1.341, 1.341, 1.0)
+    assert lipschitz_constants(Z2, TreeMode.guka(Fraction(2, 5))) == (1.341, 1.341, 1.0)
     with pytest.raises(ValueError, match="diverges"):
-        lipschitz_constants(INTEGERS, TreeMode.guka(Fraction(1, 2)), H_IDENTITY_LINE)
+        lipschitz_constants(INTEGERS, TreeMode.guka(Fraction(1, 2)))
 
 
 def test_weighted_step_bound_covers_the_edge_steps():
     # stepping outward from distance d moves the image by the partial sum
     # sqrt(1 + sum_{k<=d} ((k+1)^eps - k^eps)^2), which rises to the bound
     for eps in (Fraction(1, 4), Fraction(2, 5)):
-        c = lipschitz_constants(Z2, TreeMode.guka(eps), H_DIRAC_SIMPLEX)[0]
+        c = lipschitz_constants(Z2, TreeMode.guka(eps))[0]
         images = [weighted_tree_embed(vx(d), BASE, eps) for d in range(150)]
         steps = [(b - a).norm() for a, b in zip(images, images[1:])]
         assert steps == sorted(steps)
@@ -447,13 +464,13 @@ def test_weighted_step_bound_covers_the_edge_steps():
 
 def test_sigma_lipschitz_and_gap_small_sample():
     rng = random.Random(29)
-    c = sum(lipschitz_constants(Z2, COCYCLE, H_DIRAC_SIMPLEX))
+    c = sum(lipschitz_constants(Z2, COCYCLE))
     samples = []
     for _ in range(200):
         x, y = random_element(Z2, rng), random_element(Z2, rng)
-        d = embedded_distance(x, y, COCYCLE, H_DIRAC_SIMPLEX)
+        d = embedded_distance(x, y, COCYCLE)
         word = (x.inverse() * y).word_length()
         assert d <= c * word + 1e-12
-        samples.append(DistortionSample(word, d, "cocycle", H_DIRAC_SIMPLEX))
+        samples.append(DistortionSample(word, d, "cocycle", lamp_mode(Z2)))
     assert sum(s.word_length >= 1 for s in samples) > 150
-    assert audit_injectivity_gap(samples, Z2, COCYCLE, H_DIRAC_SIMPLEX) == []
+    assert audit_injectivity_gap(samples, Z2, COCYCLE, lamp_mode(Z2)) == []

@@ -14,8 +14,6 @@ import random
 from pathlib import Path
 
 from wreathz import (
-    H_DIRAC_SIMPLEX,
-    H_IDENTITY_LINE,
     INTEGERS,
     TreeMode,
     TreeSide,
@@ -28,6 +26,7 @@ from wreathz import (
     format_vertex,
     gamma_action_on_sum,
     iota,
+    lamp_mode,
     parse_group,
     sigma,
     vertex_of,
@@ -37,7 +36,7 @@ from wreathz.cli import main
 GOLDEN = Path(__file__).parent / "golden" / "embed.txt"
 EMBED_GROUPS = ("Z/2", "Z/3", "Z/5", "Z")
 WEIGHTED_MODES = ("guka:1/4", "guka:1/2")
-VECTOR_GROUPS = ((cyclic(2), H_DIRAC_SIMPLEX), (cyclic(3), H_DIRAC_SIMPLEX), (INTEGERS, H_IDENTITY_LINE))
+VECTOR_GROUPS = (cyclic(2), cyclic(3), INTEGERS)
 
 
 def _small_element(spec, rng):
@@ -66,7 +65,8 @@ def _embed_lines() -> list[str]:
 def _vector_lines() -> list[str]:
     lines = []
     cocycle_mode = TreeMode.cocycle()
-    for spec, h_mode in VECTOR_GROUPS:
+    for spec in VECTOR_GROUPS:
+        h_mode = lamp_mode(spec)
         rng = random.Random(f"golden-vectors-{spec}")
         for side in TreeSide:
             base = base_vertex(spec, side)

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from wreathz import (
     INTEGERS,
     BudgetError,
-    H_DIRAC_SIMPLEX,
-    H_IDENTITY_LINE,
     TreeSide,
     WreathElement,
     ball_sizes,
@@ -20,6 +18,7 @@ from wreathz import (
     cayley_bfs,
     cyclic,
     dist,
+    lamp_mode,
     properness_check,
     properness_cross_check,
     tree_bfs_dist,
@@ -394,71 +393,71 @@ def test_budget_is_validated_before_any_early_return():
 
 def test_factor_cost():
     # the properness filters' lamp costs: lamp_displacement(value)^p
-    assert _factor_costs_pth(INTEGERS, (-3, 2), 1, H_IDENTITY_LINE) == {-3: 3, 2: 2}
-    assert _factor_costs_pth(INTEGERS, (-3, 2), 2, H_IDENTITY_LINE) == {-3: 9, 2: 4}
-    assert _factor_costs_pth(Z2, (1,), 2, H_DIRAC_SIMPLEX) == {1: 1}
-    assert _factor_costs_pth(cyclic(7), (0, 2, 6), 1, H_DIRAC_SIMPLEX) == {0: 0, 2: 3, 6: 3}
-    assert _factor_costs_pth(cyclic(7), (0, 2), 2, H_DIRAC_SIMPLEX) == {0: 0, 2: 9}
+    assert _factor_costs_pth(INTEGERS, (-3, 2), 1) == {-3: 3, 2: 2}
+    assert _factor_costs_pth(INTEGERS, (-3, 2), 2) == {-3: 9, 2: 4}
+    assert _factor_costs_pth(Z2, (1,), 2) == {1: 1}
+    assert _factor_costs_pth(cyclic(7), (0, 2, 6), 1) == {0: 0, 2: 3, 6: 3}
+    assert _factor_costs_pth(cyclic(7), (0, 2), 2) == {0: 0, 2: 9}
 
 
 def test_properness_radius_zero_counts_identity_only():
-    report = properness_check(Z2, 0, 1, H_DIRAC_SIMPLEX)
+    report = properness_check(Z2, 0, 1)
     assert report.count == 1
     assert report.value_ball == ()
 
 
 def test_properness_counts_frozen():
     got = {
-        (p, r): properness_check(Z2, r, p, H_DIRAC_SIMPLEX).count
+        (p, r): properness_check(Z2, r, p).count
         for p in (1, 2)
         for r in (1, 2, 3, 4)
     }
     assert [got[(1, r)] for r in (1, 2, 3, 4)] == [2, 4, 10, 16]
     assert [got[(2, r)] for r in (1, 2, 3, 4)] == [2, 10, 22, 48]
     # within reach only by pruning on the distances the support forces
-    assert properness_check(Z2, 10, 1, H_DIRAC_SIMPLEX).count == 297
-    assert properness_check(INTEGERS, 4, 3, H_IDENTITY_LINE).count == 2407
+    assert properness_check(Z2, 10, 1).count == 297
+    assert properness_check(INTEGERS, 4, 3).count == 2407
 
 
 def test_properness_budget_is_a_hard_cap():
     # Z/2, R = 10, p = 1 stores 509 lamp configurations, the empty one included
-    assert properness_check(Z2, 10, 1, H_DIRAC_SIMPLEX, budget=509).count == 297
+    assert properness_check(Z2, 10, 1, budget=509).count == 297
     with pytest.raises(BudgetError, match=r"properness search .* \(509 > 508\)"):
-        properness_check(Z2, 10, 1, H_DIRAC_SIMPLEX, budget=508)
+        properness_check(Z2, 10, 1, budget=508)
     with pytest.raises(BudgetError, match=r"\(2 > 1\)"):
-        properness_check(Z2, 1, 1, H_DIRAC_SIMPLEX, budget=1)
+        properness_check(Z2, 1, 1, budget=1)
 
 
 def test_properness_monotone_in_radius():
     for p in (1, 2):
-        counts = [properness_check(Z2, r, p, H_DIRAC_SIMPLEX).count for r in range(5)]
+        counts = [properness_check(Z2, r, p).count for r in range(5)]
         assert counts == sorted(counts)
 
 
 def test_properness_cross_check_agrees():
     for p in (1, 2):
         for radius in (1, 2, 3):
-            report, cross, agree = properness_cross_check(Z2, radius, p, H_DIRAC_SIMPLEX)
+            report, cross, agree = properness_cross_check(Z2, radius, p, lamp_mode(Z2))
             assert agree and report.count == cross
 
 
 def test_properness_integer_lamps():
     # identity, and the two unit lamps at the origin
-    report = properness_check(INTEGERS, 1, 1, H_IDENTITY_LINE)
+    report = properness_check(INTEGERS, 1, 1)
     assert report.count == 3
-    report, cross, agree = properness_cross_check(INTEGERS, 2, 1, H_IDENTITY_LINE)
+    report, cross, agree = properness_cross_check(INTEGERS, 2, 1, lamp_mode(INTEGERS))
     assert agree and report.count == cross
 
 
 def test_properness_validates_exponent():
     with pytest.raises(ValueError, match="integer"):
-        properness_check(Z2, 2, 1.5, H_DIRAC_SIMPLEX)
+        properness_check(Z2, 2, 1.5)
     with pytest.raises(ValueError, match="nonnegative"):
-        properness_check(Z2, -1, 1, H_DIRAC_SIMPLEX)
+        properness_check(Z2, -1, 1)
 
 
 def test_properness_filter_is_inside_superset():
-    report = properness_check(Z2, 3, 1, H_DIRAC_SIMPLEX)
+    report = properness_check(Z2, 3, 1)
     assert report.count <= report.candidate_count
     assert report.shift_bound == report.support_bound == 3
 
@@ -467,23 +466,23 @@ def test_search_radius_covers_solutions():
     # every element within metric radius R must fit in the scan radius
     for p in (1, 2):
         for radius in (1, 2, 3, 4):
-            scan = properness_search_radius(Z2, radius, p, H_DIRAC_SIMPLEX)
+            scan = properness_search_radius(Z2, radius, p)
             for combo in product([0, 1], repeat=5):
                 lamps = tuple((q, v) for q, v in zip(range(-2, 3), combo) if v)
                 for n in range(-3, 4):
                     x = WreathElement(Z2, lamps, n)
-                    if product_distance_pth(x, p, H_DIRAC_SIMPLEX) <= radius**p:
+                    if product_distance_pth(x, p) <= radius**p:
                         assert x.word_length() <= scan
 
 
-def reference_search_radius(spec, radius, p, h_mode):
+def reference_search_radius(spec, radius, p):
     """The scan radius with one bounded knapsack per feasible (d+, d-), each
     over the d+ + d- + 1 lamp positions of [-d+, d-] with that pair's
     remaining budget and read through `max`."""
     r = int(radius)
     rp = Fraction(radius) ** p
-    values = [v for v in spec.ball(r) if v and lamp_displacement(spec, v, h_mode) <= radius]
-    sizes = sorted({lamp_displacement(spec, v, h_mode) for v in values})
+    values = [v for v in spec.ball(r) if v and lamp_displacement(spec, v) <= radius]
+    sizes = sorted({lamp_displacement(spec, v) for v in values})
     best = r
     for dp in range(r + 1):
         for dm in range(r + 1):
@@ -504,34 +503,33 @@ def reference_search_radius(spec, radius, p, h_mode):
 
 
 @pytest.mark.parametrize(
-    "spec, h_mode",
-    [(INTEGERS, H_IDENTITY_LINE)] + [(cyclic(k), H_DIRAC_SIMPLEX) for k in (2, 3, 4, 5, 6, 7, 9)],
-    ids=str,
+    "spec",
+    [pytest.param(spec, id=f"{spec}-{lamp_mode(spec)}") for spec in (INTEGERS, *map(cyclic, (2, 3, 4, 5, 6, 7, 9)))],
 )
-def test_search_radius_equals_the_per_pair_knapsack(spec, h_mode):
+def test_search_radius_equals_the_per_pair_knapsack(spec):
     for a, b, p in product(range(9), (1, 2, 3, 5), (1, 2, 3)):
         radius = Fraction(a, b)
-        got = properness_search_radius(spec, radius, p, h_mode)
-        assert got == reference_search_radius(spec, radius, p, h_mode), (radius, p)
+        got = properness_search_radius(spec, radius, p)
+        assert got == reference_search_radius(spec, radius, p), (radius, p)
 
 
 def test_search_radius_counts_only_the_lamps_a_support_can_hold():
     # a support inside [-d+, d-] holds at most d+ + d- + 1 lamps, which
     # takes both below the 12 that all 2r + 1 lamp positions would give
-    assert properness_search_radius(Z2, 4, 2, H_DIRAC_SIMPLEX) == 9
-    assert properness_search_radius(INTEGERS, 4, 2, H_IDENTITY_LINE) == 10
+    assert properness_search_radius(Z2, 4, 2) == 9
+    assert properness_search_radius(INTEGERS, 4, 2) == 10
 
 
 @pytest.mark.parametrize(
-    "spec, h_mode, radii",
+    "spec, radii",
     [
-        (Z2, H_DIRAC_SIMPLEX, ("0", "1", "2", "5/2", "7/3", "3")),
-        (cyclic(3), H_DIRAC_SIMPLEX, ("0", "1", "2", "5/2", "7/3", "3")),
-        (INTEGERS, H_IDENTITY_LINE, ("0", "1", "2", "5/2", "7/3")),
+        (Z2, ("0", "1", "2", "5/2", "7/3", "3")),
+        (cyclic(3), ("0", "1", "2", "5/2", "7/3", "3")),
+        (INTEGERS, ("0", "1", "2", "5/2", "7/3")),
     ],
     ids=["Z/2", "Z/3", "Z"],
 )
-def test_integer_filter_matches_fraction_filter(spec, h_mode, radii):
+def test_integer_filter_matches_fraction_filter(spec, radii):
     # Reference: the whole candidate box (shift, support and values within
     # [-r, r], no pruning) filtered by comparing against a Fraction.
     for text in radii:
@@ -544,9 +542,9 @@ def test_integer_filter_matches_fraction_filter(spec, h_mode, radii):
             for n in range(-r, r + 1)
         ]
         for p in (1, 2, 3):
-            want = {x for x in box if product_distance_pth(x, p, h_mode) <= radius**p}
-            report, limit, members = _properness(spec, radius, p, h_mode, None)
+            want = {x for x in box if product_distance_pth(x, p) <= radius**p}
+            report, limit, members = _properness(spec, radius, p, None)
             assert members == want and report.count == len(want), (text, p)
             assert limit == int(radius**p), (text, p)
-            report, scanned, agree = properness_cross_check(spec, radius, p, h_mode)
+            report, scanned, agree = properness_cross_check(spec, radius, p, lamp_mode(spec))
             assert agree and report.count == scanned == len(want)

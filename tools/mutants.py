@@ -47,6 +47,7 @@ _SAMPLER_REFERENCE = "tests/test_compression.py::test_sample_pairs_equal_per_ste
 _CAYLEY_REFERENCE = "tests/test_oracles.py::test_bfs_equals_reference_expansion"
 _PROPERNESS_COUNTS = "tests/test_oracles.py::test_properness_counts_frozen"
 _PROPERNESS_FILTER = "tests/test_oracles.py::test_integer_filter_matches_fraction_filter"
+_CLI_CORPUS = ("tests/test_cli_golden.py::test_cli_output_matches_golden_corpus",)
 
 MUTANTS = (
     Mutant(
@@ -238,6 +239,27 @@ MUTANTS = (
         "0",
         # an under-pruning search finds the same members; only the stored count shows it
         ("tests/test_oracles.py::test_properness_budget_is_a_hard_cap",),
+    ),
+    Mutant(
+        "audit-lipschitz-skips-mode-check",
+        "src/wreathz/compression.py",
+        "    validate_h_mode(spec, h_mode)\n    c = sum(lipschitz_constants(spec, tree_mode))\n",
+        "    c = sum(lipschitz_constants(spec, tree_mode))\n",
+        ("tests/test_embeddings.py::test_mode_entry_points_reject_a_mode_the_group_does_not_take",),
+    ),
+    Mutant(
+        "properness-report-candidates-plus-one",
+        "src/wreathz/oracles.py",
+        'f"candidates={self.candidate_count}"',
+        'f"candidates={self.candidate_count + 1}"',
+        _CLI_CORPUS,
+    ),
+    Mutant(
+        "properness-report-label-always-simplex",
+        "src/wreathz/oracles.py",
+        "PropernessReport(str(spec), radius, p, lamp_mode(spec),",
+        'PropernessReport(str(spec), radius, p, "dirac-simplex",',
+        _CLI_CORPUS,
     ),
 )
 
