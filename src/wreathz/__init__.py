@@ -19,7 +19,6 @@ from .embeddings import (
     TreeMode,
     affine_alpha,
     cocycle,
-    embedded_distance,
     gamma_action_on_sum,
     iota,
     lamp_mode,
@@ -86,7 +85,6 @@ __all__ = [
     "cyclic",
     "dist",
     "dist_from_base",
-    "embedded_distance",
     "fit_envelope",
     "format_element",
     "format_vertex",

@@ -86,11 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fraction(text: str, what: str) -> Fraction:
-    """Fraction(text), naming the argument when its denominator is zero."""
+    """Fraction(text), naming the argument when the literal is malformed or
+    its denominator is zero."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {what} {text!r}") from None
+    except ValueError:
+        raise ValueError(f"invalid {what} {text!r}") from None
 
 
 def _cmd_length(args) -> int:

@@ -112,7 +112,7 @@ def iota(v: TreeVertex, base: TreeVertex) -> SparseVector:
 
 
 def lamp_displacement(spec: GroupSpec, value: int) -> int:
-    """The exact norm of a lamp block, `lamp_component` at any index: |value|
+    """The exact norm of a lamp block (`_lamp_items`) at any index: |value|
     on the line, diam * [value != identity] on the simplex."""
     if not spec.is_finite:
         return abs(value)
@@ -120,20 +120,15 @@ def lamp_displacement(spec: GroupSpec, value: int) -> int:
 
 
 def _lamp_items(spec: GroupSpec, index: int, value: int) -> list:
-    """The (key, value) items of `lamp_component`."""
+    """The (key, value) items of a lamp block of the assembled map: the base
+    embedding recentred so the identity maps to zero (off-support lamps
+    contribute nothing), keyed at the lamp's own index."""
     if not value:
         return []
     if not spec.is_finite:
         return [(LampCoord(index, 0), value)]
     scale = spec.diameter / math.sqrt(2)
     return [(LampCoord(index, value), scale), (LampCoord(index, 0), -scale)]
-
-
-def lamp_component(spec: GroupSpec, index: int, value: int) -> SparseVector:
-    """Lamp block of the assembled map: the base embedding recentred so the
-    identity maps to zero (off-support lamps must contribute nothing), keyed
-    at the lamp's own index."""
-    return SparseVector(_lamp_items(spec, index, value))
 
 
 def _tree_component(x: WreathElement, side: TreeSide, tree_mode: TreeMode) -> SparseVector:
@@ -154,10 +149,6 @@ def sigma(x: WreathElement, tree_mode: TreeMode, h_mode: str) -> SparseVector:
     for pos, value in x.lamps:
         items += _lamp_items(x.spec, pos, value)
     return SparseVector(items)
-
-
-def embedded_distance(x: WreathElement, y: WreathElement, tree_mode: TreeMode) -> float:
-    return (sigma(x, tree_mode, lamp_mode(x.spec)) - sigma(y, tree_mode, lamp_mode(y.spec))).norm()
 
 
 # Per weight exponent e2, the prefix sums of float(k) ** e2 over k >= 1, grown

@@ -15,10 +15,9 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate, repeat
 from operator import floordiv, itemgetter, mod, sub
 
@@ -69,13 +68,11 @@ def _grow(seen: dict, frontier: list, depth: int, neighbors, budget: int, held: 
     return grown
 
 
-class _Ball(Mapping):
-    """Read-only `Mapping[WreathElement, int]` over a Cayley BFS's int-coded
-    result (the codes are described at `cayley_bfs`): `{code: length}` and
-    the lamps of each configuration, `{cfg: lamps}`.  `len` and `values()`
-    read the codes' dict; iteration and `items()` decode each element as it
-    is read, in discovery order; a lookup reads `{element: length}`, built
-    from the decoded elements on the first lookup."""
+class _Ball:
+    """A Cayley BFS's int-coded result (the codes are described at
+    `cayley_bfs`): `{code: length}` and the lamps of each configuration,
+    `{cfg: lamps}`.  `len` and `values()` read the codes' dict; iteration
+    and `items()` decode each element as it is read, in discovery order."""
 
     def __init__(self, spec: GroupSpec, radius: int, raw: dict[int, int], lamps_of: dict):
         self._spec = spec
@@ -92,31 +89,14 @@ class _Ball(Mapping):
         shifts = map(sub, map(mod, raw, repeat(width)), repeat(self._radius))
         return map(WreathElement, repeat(self._spec), lamps, shifts)
 
-    @cached_property
-    def _index(self) -> dict[WreathElement, int]:
-        return dict(zip(self, self._raw.values()))
-
-    def __getitem__(self, x) -> int:
-        return self._index[x]
-
     def values(self):
         return self._raw.values()
 
     def items(self):
-        return _BallItems(self)
+        return zip(self, self._raw.values())
 
 
-class _BallItems(ItemsView):
-    """`_Ball.items()`: each element zipped with its raw length."""
-
-    def __iter__(self):
-        ball = self._mapping
-        return zip(ball, ball._raw.values())
-
-
-def cayley_bfs(
-    spec: GroupSpec, radius_cap: int, budget: int | None = None
-) -> Mapping[WreathElement, int]:
+def cayley_bfs(spec: GroupSpec, radius_cap: int, budget: int | None = None) -> _Ball:
     """Exact word length of every element in the ball of the given radius,
     by breadth-first expansion over the standard generators.  The budget
     caps the number of stored elements: storing one more raises.
@@ -129,9 +109,9 @@ def cayley_bfs(
     so a search the budget cuts off keeps small codes at any R.  A shift
     move is code +- 1; a lamp move reads the digit under the cursor and
     changes only it.  The lamps of a configuration are spliced once, from
-    its parent's, when its cfg first appears.  The result is a read-only
-    mapping over the codes, in discovery order: its elements are decoded as
-    they are iterated, so reading only `len` or `values()` builds none."""
+    its parent's, when its cfg first appears.  The result is a `_Ball` over
+    the codes, in discovery order: its elements are decoded as they are
+    iterated, so reading only `len` or `values()` builds none."""
     if radius_cap < 0:
         raise ValueError(f"radius must be >= 0, got {radius_cap}")
     budget = element_budget(budget)
@@ -183,7 +163,7 @@ def cayley_bfs(
     return _Ball(spec, r, found, lamps_of)
 
 
-def ball_sizes(lengths: Mapping[WreathElement, int], radius: int) -> list[int]:
+def ball_sizes(lengths: _Ball, radius: int) -> list[int]:
     """Cumulative ball sizes for radii 0..radius from a `cayley_bfs` result,
     counting each layer once."""
     layers = Counter(lengths.values())

@@ -96,18 +96,14 @@ def vertex_of(x: WreathElement, side: TreeSide) -> TreeVertex:
     return TreeVertex(x.spec, side, x.shift, _restrict(x.lamps, side, x.shift))
 
 
-def representative(v: TreeVertex) -> WreathElement:
-    """The canonical group element mapping the base vertex to v."""
-    return WreathElement(v.spec, v.tail, v.level)
-
-
 def act(g: WreathElement, v: TreeVertex) -> TreeVertex:
     """Left action on cosets; a tree automorphism.
 
-    This is `vertex_of(g * representative(v), v.side)` built directly: the
-    image sits at level v.level + g.shift, and its tail is g's lamps strictly
-    on the tail side of that level (`_restrict`) times v's tail shifted by
-    g.shift (every shifted entry already lies on that side), spliced by
+    This is `vertex_of(g * WreathElement(v.spec, v.tail, v.level), v.side)`
+    built directly (that element maps the base vertex to v): the image sits
+    at level v.level + g.shift, and its tail is g's lamps strictly on the
+    tail side of that level (`_restrict`) times v's tail shifted by g.shift
+    (every shifted entry already lies on that side), spliced by
     `canonical_lamps`.  With no tail to splice, g's lamps are the tail.
     """
     spec = v.spec

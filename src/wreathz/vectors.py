@@ -147,15 +147,8 @@ class SparseVector:
             acc = _accumulate({}, entries)
         self._entries = acc
 
-    @classmethod
-    def single(cls, key: CoordKey, value: Scalar) -> "SparseVector":
-        return cls([(key, value)])
-
     def items(self) -> Iterator[tuple[CoordKey, Scalar]]:
         return iter(self._entries.items())
-
-    def get(self, key: CoordKey) -> Scalar:
-        return self._entries.get(key, 0)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -182,14 +175,6 @@ class SparseVector:
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         return self + (-other)
-
-    def __mul__(self, scalar: Scalar) -> "SparseVector":
-        out = SparseVector()
-        if scalar:
-            out._entries = {k: v * scalar for k, v in self._entries.items()}
-        return out
-
-    __rmul__ = __mul__
 
     def ip(self, other: "SparseVector") -> Scalar:
         """The standard inner product, summed over the smaller support."""

@@ -3,11 +3,17 @@ from dataclasses import dataclass
 
 import pytest
 
-from wreathz import DistortionSample, TreeMode, cyclic, lamp_mode, sample_pairs
+from wreathz import DistortionSample, TreeMode, cyclic, lamp_mode, sample_pairs, sigma
 
 ACCEPTANCE_SEED = 424242
 ACCEPTANCE_SCALE = 1000
 ACCEPTANCE_COUNT = 100_000
+
+
+def embedded_distance(x, y, tree_mode) -> float:
+    """|sigma(x) - sigma(y)|, from the vectors: the reference for the
+    sampler's and `identity_distance_squared`'s vector-free distances."""
+    return (sigma(x, tree_mode, lamp_mode(x.spec)) - sigma(y, tree_mode, lamp_mode(y.spec))).norm()
 
 
 @dataclass

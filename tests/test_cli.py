@@ -198,8 +198,10 @@ def test_bounds_command(capsys):
     [
         (("bounds", "1/0"), "error: zero denominator in base compression '1/0'\n"),
         (("properness", "--group", "Z/2", "--radius", "1/0"), "error: zero denominator in radius '1/0'\n"),
+        (("bounds", "x"), "error: invalid base compression 'x'\n"),
+        (("properness", "--group", "Z/2", "--radius", "abc"), "error: invalid radius 'abc'\n"),
     ],
-    ids=("bounds", "properness"),
+    ids=("bounds", "properness", "bounds-malformed", "properness-malformed"),
 )
 def test_zero_denominator_names_the_literal(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)

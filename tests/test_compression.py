@@ -22,9 +22,11 @@ from wreathz.compression import (
     audit_lipschitz,
 )
 from wreathz import embeddings
-from wreathz.embeddings import embedded_distance, identity_distance_squared, lamp_displacement
+from wreathz.embeddings import identity_distance_squared, lamp_displacement
 from wreathz.trees import TreeSide, base_vertex, dist, vertex_of
 from wreathz.wreath import WreathElement
+
+from conftest import embedded_distance
 
 Z2 = cyclic(2)
 COCYCLE = TreeMode.cocycle()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from wreathz import (
     INTEGERS,
     DistortionSample,
+    LampCoord,
     SignedEdge,
     SparseVector,
     TreeMode,
@@ -23,7 +24,6 @@ from wreathz import (
     cyclic,
     dist,
     dist_from_base,
-    embedded_distance,
     gamma_action_on_sum,
     geodesic,
     geom_edge,
@@ -37,14 +37,16 @@ from wreathz import (
 )
 from wreathz.compression import audit_injectivity_gap, audit_lipschitz
 from wreathz.embeddings import (
+    _lamp_items,
     _tree_component,
     identity_distance_squared,
-    lamp_component,
     lamp_displacement,
     lipschitz_constants,
     validate_h_mode,
 )
 from wreathz.verify import random_element
+
+from conftest import embedded_distance
 
 Z2 = cyclic(2)
 PLUS = TreeSide.PLUS
@@ -242,17 +244,32 @@ def test_alpha_compose_requires_matching_base():
 # --- base group embeddings ------------------------------------------------------
 
 
+def lamp_block(spec, index, value):
+    """The library's lamp block at `index`, as one vector."""
+    return SparseVector(_lamp_items(spec, index, value))
+
+
+def defined_lamp_block(spec, index, value):
+    """A lamp block from its definition, not from `_lamp_items`: the value on
+    the line, or the value's simplex vertex minus the identity's, each at
+    distance diam / sqrt(2) from the origin (a zero value cancels)."""
+    if not spec.is_finite:
+        return SparseVector([(LampCoord(index, 0), value)])
+    scale = spec.diameter / math.sqrt(2)
+    return SparseVector([(LampCoord(index, value), scale), (LampCoord(index, 0), -scale)])
+
+
 def test_identity_line_examples():
     # a lamp value n embeds at n on the line, so distances are |a - b|
-    assert lamp_component(INTEGERS, 0, 0) == SparseVector()
+    assert lamp_block(INTEGERS, 0, 0) == SparseVector()
     for a in range(-4, 5):
         for b in range(-4, 5):
-            d = lamp_component(INTEGERS, 0, a) - lamp_component(INTEGERS, 0, b)
+            d = lamp_block(INTEGERS, 0, a) - lamp_block(INTEGERS, 0, b)
             assert d.norm_squared() == (a - b) ** 2
 
 
 def test_dirac_simplex_example():
-    d = lamp_component(Z2, 0, 0) - lamp_component(Z2, 0, 1)
+    d = lamp_block(Z2, 0, 0) - lamp_block(Z2, 0, 1)
     assert d.norm() == pytest.approx(1.0, abs=1e-12)  # diam = 1
 
 
@@ -260,7 +277,7 @@ def test_simplex_distances_are_diameter_times_indicator():
     z7 = cyclic(7)
     for s in range(7):
         for t in range(7):
-            d = (lamp_component(z7, 0, s) - lamp_component(z7, 0, t)).norm()
+            d = (lamp_block(z7, 0, s) - lamp_block(z7, 0, t)).norm()
             assert d == pytest.approx(0.0 if s == t else 3.0, abs=1e-12)
 
 
@@ -268,7 +285,7 @@ def test_lamp_displacement_is_the_norm_of_the_lamp_block():
     cases = [(INTEGERS, range(-6, 7))] + [(cyclic(k), range(k)) for k in (2, 3, 5, 8)]
     for spec, values in cases:
         for value in values:
-            block = lamp_component(spec, 4, value)
+            block = lamp_block(spec, 4, value)
             want = lamp_displacement(spec, value)
             assert block.norm() == pytest.approx(want, abs=1e-12)
 
@@ -354,7 +371,7 @@ def test_sigma_equals_the_sum_of_its_components(x, tree_mode):
     # modes: same items in the same order, so the same bytes and norm
     want = _tree_component(x, PLUS, tree_mode) + _tree_component(x, TreeSide.MINUS, tree_mode)
     for pos, value in x.lamps:
-        want = want + lamp_component(x.spec, pos, value)
+        want = want + defined_lamp_block(x.spec, pos, value)
     got = sigma(x, tree_mode, lamp_mode(x.spec))
     assert list(got.items()) == list(want.items())
     assert got.dump_lines() == want.dump_lines()

@@ -26,11 +26,16 @@ from wreathz import (
     geom_edge,
     vertex_of,
 )
-from wreathz.trees import _descent, meet_level, representative, spine_step, truncated_neighbors
+from wreathz.trees import _descent, meet_level, spine_step, truncated_neighbors
 from wreathz.verify import random_element, random_stabilizer_element
 
 Z2 = cyclic(2)
 PLUS, MINUS = TreeSide.PLUS, TreeSide.MINUS
+
+
+def representative(v):
+    """The canonical group element mapping the base vertex to v."""
+    return WreathElement(v.spec, v.tail, v.level)
 
 
 def el(spec, lamps, shift):

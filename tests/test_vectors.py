@@ -16,7 +16,7 @@ def vx(level, lamps=(), side=TreeSide.PLUS):
 
 def test_unit_charge_on_both_orientations_has_norm_one():
     # one signed coordinate carries the charge in both orientations
-    v = SparseVector.single(SignedEdge(vx(1)), 1)
+    v = SparseVector([(SignedEdge(vx(1)), 1)])
     assert v.norm_squared() == 1 and type(v.norm_squared()) is int
     assert v.dump_lines() == ["oe T+ [0 | ] -> T+ [1 | ]\t1", "oe T+ [1 | ] -> T+ [0 | ]\t-1"]
     assert (-v).dump_lines() == ["oe T+ [0 | ] -> T+ [1 | ]\t-1", "oe T+ [1 | ] -> T+ [0 | ]\t1"]
@@ -31,7 +31,7 @@ def test_inner_product_with_zero():
 def test_geometric_edge_uses_standard_convention():
     minus = TreeSide.MINUS
     e = geom_edge(vx(1), vx(0))
-    assert SparseVector.single(e, 1).norm_squared() == 1
+    assert SparseVector([(e, 1)]).norm_squared() == 1
     # either order gives the key of the outer endpoint: the upper one on T+
     # and the lower one on T-
     assert e == geom_edge(vx(0), vx(1)) == GeomEdge(vx(1))
@@ -39,7 +39,7 @@ def test_geometric_edge_uses_standard_convention():
     # same edge, different coordinate class: orthogonal
     signed = SignedEdge(vx(1))
     assert e != signed
-    assert SparseVector.single(e, 1).ip(SparseVector.single(signed, 1)) == 0
+    assert SparseVector([(e, 1)]).ip(SparseVector([(signed, 1)])) == 0
 
 
 def test_edge_constructors_validate_adjacency():
@@ -78,12 +78,9 @@ def test_vector_arithmetic_prunes_zeros():
     v = SparseVector([(e, 2)])
     w = SparseVector([(e, -2), (LampCoord(0, 1), Fraction(1, 3))])
     total = v + w
-    assert total.get(e) == 0
-    assert len(total) == 1
+    assert dict(total.items()) == {LampCoord(0, 1): Fraction(1, 3)}
     assert total - total == SparseVector()
     assert -total + total == SparseVector()
-    assert (total * 3).get(LampCoord(0, 1)) == 1
-    assert (0 * total) == SparseVector()
 
 
 # a few keys of each class, so drawn entries repeat keys often
@@ -130,7 +127,7 @@ def test_mixed_class_inner_product():
     v = SparseVector([(SignedEdge(vx(1)), 2), (LampCoord(1, 0), 3)])
     # 2 * 2 + 3 * 3
     assert v.norm_squared() == 13
-    assert v.ip(SparseVector.single(LampCoord(1, 0), 1)) == 3
+    assert v.ip(SparseVector([(LampCoord(1, 0), 1)])) == 3
 
 
 def test_dump_is_deterministic_and_ordered():

@@ -151,6 +151,15 @@ MUTANTS = (
         ("tests/test_compression.py::test_random_word_equals_reference_across_refills", _SAMPLER_REFERENCE),
     ),
     Mutant(
+        "lamp-simplex-scale-halved",
+        "src/wreathz/embeddings.py",
+        "spec.diameter / math.sqrt(2)",
+        "spec.diameter / 2",
+        # the expected lamp blocks are written from their definition, so
+        # they do not move with `_lamp_items`
+        ("tests/test_embeddings.py::test_sigma_equals_the_sum_of_its_components",),
+    ),
+    Mutant(
         "weights-read-at-d-minus-1",
         "src/wreathz/embeddings.py",
         "        total = sums[dp]\n        total += sums[dm]\n",
@@ -191,13 +200,6 @@ MUTANTS = (
         "e if e <= top else e - base",
         "e if e < top else e - base",
         (_CAYLEY_REFERENCE,),
-    ),
-    Mutant(
-        "ball-lookup-indexes-raw-codes",
-        "src/wreathz/oracles.py",
-        "return dict(zip(self, self._raw.values()))",
-        "return dict(self._raw)",
-        ("tests/test_oracles.py::test_ball_views_agree_in_discovery_order",),
     ),
     Mutant(
         "ball-iteration-shift-plus-one",
@@ -246,6 +248,13 @@ MUTANTS = (
         "    validate_h_mode(spec, h_mode)\n    c = sum(lipschitz_constants(spec, tree_mode))\n",
         "    c = sum(lipschitz_constants(spec, tree_mode))\n",
         ("tests/test_embeddings.py::test_mode_entry_points_reject_a_mode_the_group_does_not_take",),
+    ),
+    Mutant(
+        "fraction-malformed-literal-unnamed",
+        "src/wreathz/cli.py",
+        '    except ValueError:\n        raise ValueError(f"invalid {what} {text!r}") from None\n',
+        "",
+        _CLI_CORPUS,
     ),
     Mutant(
         "properness-report-candidates-plus-one",
