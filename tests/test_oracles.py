@@ -128,7 +128,7 @@ def test_ball_is_read_only():
         (Z2, ((1, 3),), 0),  # a Z/k value outside 1..k-1; 3 = 1 mod 2
         (Z2, ((1, 0),), 0),  # the identity value
         (cyclic(3), ((0, -1),), 0),  # -1 = 2 mod 3
-        (cyclic(10**12), ((0, 10**12 + 1),), 0),  # a huge order costs the decoding nothing
+        (cyclic(10**12), ((0, 10**12 + 1),), 0),  # a huge order costs the search nothing
         (INTEGERS, ((0, 5),), 0),  # |v| > R; 5 = -4 mod 9
         (INTEGERS, ((0, 10),), 0),  # 10 = 1 mod 9
         (Z2, ((0, 1), (0, 1)), 0),  # a position twice
@@ -141,8 +141,8 @@ def test_ball_is_read_only():
 )
 def test_ball_lookup_rejects_elements_outside_the_encoding(spec, lamps, shift):
     # no element of the radius-4 ball equals any of these pairs: decoding
-    # never yields a non-canonical element, though a search by code (v mod B,
-    # no range checks) would find most of them
+    # never yields a non-canonical element, though most of them, encoded
+    # naively (v mod B, no range checks), share a code with a ball element
     x = WreathElement(spec, lamps, shift)
     assert x not in set(cayley_bfs(spec, 4))
 
