@@ -47,7 +47,7 @@ from .trees import (
     geodesic_halves,
     vertex_of,
 )
-from .vectors import GeomEdge, LampCoord, SignedEdge, SparseVector, geom_edge
+from .vectors import GeomEdge, LampCoord, SparseVector, geom_edge
 from .wreath import (
     WreathElement,
     format_element,
@@ -69,7 +69,6 @@ __all__ = [
     "LampCoord",
     "ParseError",
     "PropernessReport",
-    "SignedEdge",
     "SparseVector",
     "TreeMode",
     "TreeSide",

@@ -8,7 +8,7 @@ Three building blocks:
   counted from the moving vertex;
 * the edge-cocycle embedding (exactly sqrt of the tree distance, fully
   equivariant): a signed unit charge on each geodesic edge, one coordinate
-  per geometric edge;
+  per geometric edge, keyed by the edge's outer vertex;
 * per-lamp embeddings of the base group: the integers on a line, or a finite
   cyclic group on the vertices of a rescaled simplex.
 
@@ -27,7 +27,7 @@ from itertools import accumulate
 
 from .basegroups import GroupSpec
 from .trees import TreeSide, TreeVertex, act, base_vertex, dist, dist_from_base, geodesic_halves, vertex_of
-from .vectors import GeomEdge, LampCoord, SignedEdge, SparseVector
+from .vectors import GeomEdge, LampCoord, SparseVector, _add_in_place
 from .wreath import WreathElement
 
 H_IDENTITY_LINE = "identity-line"
@@ -99,11 +99,16 @@ def cocycle(x: TreeVertex, y: TreeVertex) -> SparseVector:
     Satisfies the chain rule c(x,y) + c(y,z) = c(x,z) and |c(x,y)|^2 = d(x,y),
     both exactly.
     """
+    return SparseVector(_cocycle_items(x, y))
+
+
+def _cocycle_items(x: TreeVertex, y: TreeVertex) -> list:
+    """The items of `cocycle(x, y)`, each keyed by its edge's outer vertex."""
     down, _, up = geodesic_halves(x, y)
     s = 1 if x.side is TreeSide.PLUS else -1
-    items = [(SignedEdge(w), -s) for w in down]
-    items += [(SignedEdge(w), s) for w in reversed(up)]
-    return SparseVector(items)
+    items = [(w, -s) for w in down]
+    items += [(w, s) for w in reversed(up)]
+    return items
 
 
 def iota(v: TreeVertex, base: TreeVertex) -> SparseVector:
@@ -131,12 +136,19 @@ def _lamp_items(spec: GroupSpec, index: int, value: int) -> list:
     return [(LampCoord(index, value), scale), (LampCoord(index, 0), -scale)]
 
 
-def _tree_component(x: WreathElement, side: TreeSide, tree_mode: TreeMode) -> SparseVector:
-    base = base_vertex(x.spec, side)
-    v = vertex_of(x, side)
-    if tree_mode.kind == "cocycle":
-        return iota(v, base)
-    return weighted_tree_embed(v, base, tree_mode.eps)
+def _sigma_items(x: WreathElement, tree_mode: TreeMode) -> list:
+    """The items of `sigma(x)`: the plus, then the minus tree component, then
+    one recentred base embedding per lit lamp."""
+    items = []
+    for side in (TreeSide.PLUS, TreeSide.MINUS):
+        base, v = base_vertex(x.spec, side), vertex_of(x, side)
+        if tree_mode.kind == "cocycle":
+            items += _cocycle_items(base, v)
+        else:
+            items += weighted_tree_embed(v, base, tree_mode.eps).items()
+    for pos, value in x.lamps:
+        items += _lamp_items(x.spec, pos, value)
+    return items
 
 
 def sigma(x: WreathElement, tree_mode: TreeMode, h_mode: str) -> SparseVector:
@@ -144,11 +156,7 @@ def sigma(x: WreathElement, tree_mode: TreeMode, h_mode: str) -> SparseVector:
     embedding per lit lamp, all orthogonal, so their items go into one
     vector build."""
     validate_h_mode(x.spec, h_mode)
-    items = [*_tree_component(x, TreeSide.PLUS, tree_mode).items()]
-    items += _tree_component(x, TreeSide.MINUS, tree_mode).items()
-    for pos, value in x.lamps:
-        items += _lamp_items(x.spec, pos, value)
-    return SparseVector(items)
+    return SparseVector(_sigma_items(x, tree_mode))
 
 
 # Per weight exponent e2, the prefix sums of float(k) ** e2 over k >= 1, grown
@@ -190,9 +198,10 @@ def identity_distance_squared(x: WreathElement, tree_mode: TreeMode):
 class AffineMap:
     """Affine isometry xi -> pi(g) xi + t of one tree's edge space.
 
-    The linear part permutes the edge coordinates of the map's tree through
-    the vertex action of `element` (identity on every other coordinate
-    class); the translation is the cocycle from the base vertex to its image.
+    The linear part moves the edge keys of the map's tree through the vertex
+    action of `element` (identity on every other coordinate class); the
+    translation, the cocycle from the base vertex to its image, is added in
+    place into the vector the linear part has just built.
     """
 
     element: WreathElement
@@ -203,14 +212,16 @@ class AffineMap:
         g, side = self.element, self.base.side
         items = []
         for key, value in vec.items():
-            if isinstance(key, GeomEdge) and key.outer.side is side:
-                # act shifts every level by g.shift and commutes with spine_step
-                key = type(key)(act(g, key.outer))
+            # act shifts every level by g.shift and commutes with spine_step
+            if isinstance(key, TreeVertex) and key.side is side:
+                key = act(g, key)
+            elif isinstance(key, GeomEdge) and key.outer.side is side:
+                key = GeomEdge(act(g, key.outer))
             items.append((key, value))
         return SparseVector(items)
 
     def apply(self, vec: SparseVector) -> SparseVector:
-        return self.apply_linear(vec) + self.translation
+        return _add_in_place(self.apply_linear(vec), self.translation.items())
 
     __call__ = apply
 
@@ -221,7 +232,7 @@ class AffineMap:
         return AffineMap(
             self.element * other.element,
             self.base,
-            self.apply_linear(other.translation) + self.translation,
+            _add_in_place(self.apply_linear(other.translation), self.translation.items()),
         )
 
 
@@ -236,20 +247,19 @@ def gamma_action_on_sum(g: WreathElement, vec: SparseVector, h_mode: str) -> Spa
     """The full affine action on the direct sum, under which the assembled
     cocycle embedding is equivariant: g . sigma(x) = sigma(g x).
 
-    The linear part permutes each tree's signed edges through the vertex
+    The linear part permutes each tree's vertex keys through the vertex
     action and the lamp blocks through index translation plus the base
-    group's own action on its coordinates; the translation is sigma(g).
-    Weighted-tree coordinates have no equivariant action and are rejected.
+    group's own action on its coordinates; sigma(g)'s items are added in
+    place.  Weighted-tree coordinates have no equivariant action.
     """
     validate_h_mode(g.spec, h_mode)
     spec, n = g.spec, g.shift
-    translation = sigma(g, TreeMode.cocycle(), lamp_mode(spec))
     lamps = dict(g.lamps)
     simplex = spec.is_finite
     items = []
     for key, value in vec.items():
-        if isinstance(key, SignedEdge):
-            key = type(key)(act(g, key.outer))
+        if isinstance(key, TreeVertex):
+            key = act(g, key)
         elif isinstance(key, LampCoord):
             target = key.index + n
             coord = spec.mul(lamps.get(target, 0), key.coord) if simplex else key.coord
@@ -257,7 +267,7 @@ def gamma_action_on_sum(g: WreathElement, vec: SparseVector, h_mode: str) -> Spa
         else:
             raise ValueError("weighted-tree coordinates have no equivariant action")
         items.append((key, value))
-    return SparseVector(items) + translation
+    return _add_in_place(SparseVector(items), _sigma_items(g, TreeMode.cocycle()))
 
 
 # Terms summed exactly by _weighted_step_bound; the rest is bounded above.

@@ -190,13 +190,22 @@ def truncated_neighbors(values, plus_side: bool):
 
 
 def _descent(v: TreeVertex, target_level: int) -> list[TreeVertex]:
-    """Vertices from v down to target_level inclusive."""
+    """Vertices from v down to target_level inclusive: `spine_step` iterated,
+    each tail a slice of v's, cut where the level passes its entries."""
+    spec, side, tail = v.spec, v.side, v.tail
     out = [v]
-    level, tail = v.level, v.tail
-    plus = v.side is TreeSide.PLUS
-    for _ in range(abs(v.level - target_level)):
-        level, tail = spine_step(level, tail, plus)
-        out.append(TreeVertex(v.spec, v.side, level, tail))
+    if side is TreeSide.PLUS:
+        i = len(tail)
+        for level in range(v.level - 1, target_level - 1, -1):
+            if i and tail[i - 1][0] == level:
+                i -= 1
+            out.append(TreeVertex(spec, side, level, tail[:i]))
+    else:
+        i, end = 0, len(tail)
+        for level in range(v.level + 1, target_level + 1):
+            if i < end and tail[i][0] == level:
+                i += 1
+            out.append(TreeVertex(spec, side, level, tail[i:]))
     return out
 
 
@@ -206,8 +215,10 @@ def geodesic_halves(u: TreeVertex, v: TreeVertex) -> tuple[list[TreeVertex], Tre
     edge it steps down (upper on T+, lower on T-), so `down` and `up` are the
     geodesic's edge keys."""
     k = meet_level(u, v)
-    *down, meet = _descent(u, k)
-    return down, meet, _descent(v, k)[:-1]
+    down, up = _descent(u, k), _descent(v, k)
+    meet = down.pop()
+    up.pop()  # the meet again
+    return down, meet, up
 
 
 def geodesic(u: TreeVertex, v: TreeVertex) -> list[TreeVertex]:

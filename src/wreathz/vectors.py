@@ -1,12 +1,12 @@
 """Sparse vectors over tagged coordinate keys with the standard inner product.
 
 Coordinates come in three classes: geometric tree edges (the weighted path
-embedding), signed tree edges (the cocycle embedding) and (lamp index, base
-coordinate) pairs.  A signed edge is one coordinate per geometric edge whose
-value is the charge carried from its lower to its upper endpoint; reversing
-the orientation negates the charge, so it is printed as two oriented halves
-but counted once, and a unit charge has norm 1.  The classes are orthogonal,
-so one vector type covers the whole direct sum.
+embedding), tree vertices (the cocycle embedding) and (lamp index, base
+coordinate) pairs.  A vertex keys the edge it is the outer end of, and its
+value is the charge carried from that edge's lower to its upper endpoint;
+the reverse orientation carries the negative, so it is printed as two
+oriented halves but counted once, and a unit charge has norm 1.  The classes
+are orthogonal, so one vector type covers the whole direct sum.
 
 Values may be exact ints or Fractions (cocycle identities are checked
 exactly) or floats (the weighted path and simplex embeddings have irrational
@@ -28,7 +28,7 @@ class GeomEdge:
     """Unoriented tree edge keyed by its outer endpoint, whose `spine_step` is
     the other one: the upper end on the plus tree, the lower end on the minus
     tree.  Every vertex is the outer end of exactly one edge, so the edge
-    hashes as that vertex, whose hash is stored."""
+    hashes as that vertex (whose hash is stored) but differs from it as a key."""
 
     outer: TreeVertex
 
@@ -54,23 +54,6 @@ def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
     raise ValueError("edge endpoints must be adjacent")
 
 
-@dataclass(frozen=True)
-class SignedEdge(GeomEdge):
-    """One coordinate per geometric edge for the cocycle embedding: the
-    value is the charge carried from the lower endpoint to the upper one, so
-    the reverse orientation carries its negative.  Equality checks the class,
-    so a signed edge and the geometric edge on the same vertex differ."""
-
-    # No slots=True: before Python 3.11 the decorator would declare `outer`
-    # again, a second slot that `_set_outer` never fills.  The empty
-    # `__slots__` keeps the base's one slot and no `__dict__`.
-    __slots__ = ()
-    # set here, or the decorator would generate a frozen __init__ and a
-    # tuple hash for the subclass
-    __init__ = GeomEdge.__init__
-    __hash__ = GeomEdge.__hash__
-
-
 @dataclass(frozen=True, slots=True)
 class LampCoord:
     """Coordinate `coord` of the lamp-index-`index` copy of the base space."""
@@ -87,7 +70,7 @@ _set_index = LampCoord.index.__set__
 _set_coord = LampCoord.coord.__set__
 
 
-CoordKey = Union[GeomEdge, LampCoord]
+CoordKey = Union[TreeVertex, GeomEdge, LampCoord]
 
 Scalar = Union[int, Fraction, float]
 
@@ -102,15 +85,16 @@ def _oriented(src: TreeVertex, dst: TreeVertex) -> tuple[tuple, str]:
 def _key_rows(key: CoordKey) -> list[tuple[tuple, str, int]]:
     """(sort key, literal, sign) of each printed row of a coordinate.  An
     edge's endpoints lo and hi, by level, come from its outer vertex through
-    `spine_step`.  A signed edge prints as its two oriented halves: lo -> hi
-    with the value and hi -> lo with its negative."""
+    `spine_step`.  A vertex key prints as its edge's two oriented halves:
+    lo -> hi with the value and hi -> lo with its negative."""
     if isinstance(key, LampCoord):
         return [((2, key.index, key.coord), f"lamp {key.index} : {key.coord}", 1)]
-    v = key.outer
+    signed = isinstance(key, TreeVertex)
+    v = key if signed else key.outer
     plus = v.side is TreeSide.PLUS
     inner = TreeVertex(v.spec, v.side, *spine_step(v.level, v.tail, plus))
     lo, hi = (inner, v) if plus else (v, inner)
-    if isinstance(key, SignedEdge):
+    if signed:
         return [(*_oriented(lo, hi), 1), (*_oriented(hi, lo), -1)]
     sort_key = (0, lo.side.value, lo.level, lo.tail, hi.level, hi.tail)
     return [(sort_key, f"ge {format_vertex(lo)} -- {format_vertex(hi)}", 1)]
@@ -191,7 +175,7 @@ class SparseVector:
 
     def dump_lines(self) -> list[str]:
         """`key<TAB>value` lines, deterministically ordered: one per
-        coordinate, two per signed edge (its oriented halves)."""
+        coordinate, two per vertex key (its edge's oriented halves)."""
         rows = sorted(
             (
                 (sort_key, literal, value if sign > 0 else -value)
@@ -204,3 +188,9 @@ class SparseVector:
 
     def __repr__(self) -> str:
         return f"SparseVector({len(self._entries)} coords)"
+
+
+def _add_in_place(vec: SparseVector, entries: Iterable[tuple[CoordKey, Scalar]]) -> SparseVector:
+    """vec + SparseVector(entries), added into vec itself: for a vector no one else holds."""
+    _accumulate(vec._entries, entries)
+    return vec

@@ -25,13 +25,16 @@ LampConfig = tuple[tuple[int, int], ...]
 def canonical_lamps(
     spec: GroupSpec, items: Iterable[tuple[int, int]], shift: int = 0, onto: dict[int, int] | None = None
 ) -> LampConfig:
-    """Multiply `items`, positions moved by `shift`, in order onto `onto` (a
-    {position: value} dict the call consumes), drop identities and sort.  The
-    one lamp splice: `of`, the product and the tree action all run it."""
+    """Multiply (`spec.mul`, inline) `items`, positions moved by `shift`, in
+    order onto `onto` (a {position: value} dict the call consumes), drop
+    identities and sort.  The one lamp splice: `of`, the product and `act`."""
     acc = {} if onto is None else onto
+    order = spec.order
     for pos, value in items:
         q = pos + shift
-        v = spec.mul(acc.get(q, 0), value)
+        v = acc.get(q, 0) + value
+        if order:
+            v %= order
         if v:
             acc[q] = v
         else:

@@ -11,7 +11,6 @@ from wreathz import (
     INTEGERS,
     DistortionSample,
     LampCoord,
-    SignedEdge,
     SparseVector,
     TreeMode,
     TreeSide,
@@ -20,6 +19,7 @@ from wreathz import (
     act,
     affine_alpha,
     base_vertex,
+    cayley_bfs,
     cocycle,
     cyclic,
     dist,
@@ -38,7 +38,6 @@ from wreathz import (
 from wreathz.compression import audit_injectivity_gap, audit_lipschitz
 from wreathz.embeddings import (
     _lamp_items,
-    _tree_component,
     identity_distance_squared,
     lamp_displacement,
     lipschitz_constants,
@@ -149,13 +148,13 @@ def tree_pairs(draw):
 
 def reference_cocycle(x, y):
     """The per-step rule: walk the geodesic and charge each step +1 up a
-    level, -1 down, on the edge keyed by the step's outer vertex (its upper
-    end on T+, its lower end on T-)."""
+    level, -1 down, on the key of the step's outer vertex (its upper end on
+    T+, its lower end on T-)."""
     plus = x.side is PLUS
     items = []
     for a, b in pairwise(geodesic(x, y)):
         up = a.level < b.level
-        items.append((SignedEdge(b if up is plus else a), 1 if up else -1))
+        items.append((b if up is plus else a, 1 if up else -1))
     return SparseVector(items)
 
 
@@ -364,12 +363,20 @@ def test_sigma_single_lamp_at_origin():
     assert v.norm_squared() == pytest.approx(1.0, abs=1e-12)  # 0 + 0 + 1
 
 
+def tree_component(x, side, tree_mode):
+    """The tree block of sigma(x) from the public embeddings of x's vertex."""
+    base, v = base_vertex(x.spec, side), vertex_of(x, side)
+    if tree_mode.kind == "cocycle":
+        return iota(v, base)
+    return weighted_tree_embed(v, base, tree_mode.eps)
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(pinned_elements(), st.sampled_from((COCYCLE, TreeMode.guka(Fraction(1, 4)))))
 def test_sigma_equals_the_sum_of_its_components(x, tree_mode):
     # the one-pass build against the vector sum of its blocks, in both lamp
     # modes: same items in the same order, so the same bytes and norm
-    want = _tree_component(x, PLUS, tree_mode) + _tree_component(x, TreeSide.MINUS, tree_mode)
+    want = tree_component(x, PLUS, tree_mode) + tree_component(x, TreeSide.MINUS, tree_mode)
     for pos, value in x.lamps:
         want = want + defined_lamp_block(x.spec, pos, value)
     got = sigma(x, tree_mode, lamp_mode(x.spec))
@@ -443,6 +450,33 @@ def test_gamma_action_is_an_action():
             one_step = gamma_action_on_sum(g * h, probe, mode)
             two_step = gamma_action_on_sum(g, gamma_action_on_sum(h, probe, mode), mode)
             assert one_step == two_step
+
+
+@pytest.mark.parametrize(
+    "spec, radius, size", [(Z2, 8, 490), (cyclic(3), 6, 515), (INTEGERS, 5, 421)], ids=["Z2-r8", "Z3-r6", "Z-r5"]
+)
+def test_generators_act_exactly_on_whole_balls(spec, radius, size):
+    # every element of a ball times every standard generator s: the full
+    # action, the vertex action on both trees and each tree's affine_alpha
+    # move x's images to those of s x
+    mode = lamp_mode(spec)
+    gens = [WreathElement(spec, (), 1), WreathElement(spec, (), -1)]
+    gens += [WreathElement(spec, ((0, v),), 0) for v in spec.generator_values()]
+    ball = list(cayley_bfs(spec, radius))
+    assert len(ball) == size
+    bases = [base_vertex(spec, side) for side in TreeSide]
+    alphas = [(s, [affine_alpha(s, b) for b in bases]) for s in gens]
+    for x in ball:
+        image = sigma(x, COCYCLE, mode)
+        verts = [vertex_of(x, b.side) for b in bases]
+        embeds = [iota(v, b) for v, b in zip(verts, bases)]
+        for s, alpha in alphas:
+            y = s * x
+            assert gamma_action_on_sum(s, image, mode) == sigma(y, COCYCLE, mode)
+            for v, b, iv, a in zip(verts, bases, embeds, alpha):
+                w = vertex_of(y, b.side)
+                assert act(s, v) == w
+                assert a(iv) == iota(w, b)
 
 
 def test_gamma_action_rejects_weighted_mode():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wreathz import (
     INTEGERS,
     GeomEdge,
-    SignedEdge,
     SparseVector,
     TreeSide,
     TreeVertex,
@@ -126,8 +125,8 @@ def test_vertex_hash_ignores_spec_and_side_but_equality_does_not():
         assert hash(a) == hash(b) and a != b
         assert len({a, b}) == 2
         assert {a: 1, b: 2}[a] == 1
-        # the same collision as signed-edge keys, keyed by these vertices
-        vec = SparseVector([(SignedEdge(a), 1), (SignedEdge(b), 2)])
+        # the same collision as cocycle coordinates, which these vertices key
+        vec = SparseVector([(a, 1), (b, 2)])
         assert len(list(vec.items())) == 2
         assert vec.norm_squared() == 5
 
@@ -157,13 +156,11 @@ def test_slotted_vertex_and_edges_are_frozen_and_structural(case):
     # the stored hash takes no part in repr or ==
     assert [f.name for f in fields(v) if f.compare or f.repr] == ["spec", "side", "level", "tail"]
     assert repr(v) == f"TreeVertex(spec={v.spec!r}, side={v.side!r}, level={v.level!r}, tail={v.tail!r})"
-    for edge in (GeomEdge, SignedEdge):
-        assert edge(v) == edge(twin) and hash(edge(v)) == hash(edge(twin)) == hash(v)
-        assert repr(edge(v)) == f"{edge.__name__}(outer={v!r})"
-    assert GeomEdge(v) != SignedEdge(v) and len({GeomEdge(v), SignedEdge(v)}) == 2
-    # a signed edge has the one `outer` slot, its base's, which __init__ fills
-    assert "outer" not in vars(SignedEdge)
-    for key, names in ((v, ("spec", "side", "level", "tail")), (GeomEdge(v), ("outer",)), (SignedEdge(v), ("outer",))):
+    assert GeomEdge(v) == GeomEdge(twin) and hash(GeomEdge(v)) == hash(GeomEdge(twin)) == hash(v)
+    assert repr(GeomEdge(v)) == f"GeomEdge(outer={v!r})"
+    # the weighted and the cocycle key of one edge: same hash, distinct keys
+    assert GeomEdge(v) != v and v != GeomEdge(v) and len({GeomEdge(v), v}) == 2
+    for key, names in ((v, ("spec", "side", "level", "tail")), (GeomEdge(v), ("outer",))):
         assert not hasattr(key, "__dict__")
         for name in names:
             with pytest.raises(FrozenInstanceError):

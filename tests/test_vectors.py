@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathz import SparseVector, TreeSide, TreeVertex, cyclic, geom_edge
-from wreathz.vectors import GeomEdge, LampCoord, SignedEdge, _accumulate
+from wreathz.vectors import GeomEdge, LampCoord, _accumulate
 
 Z2 = cyclic(2)
 
@@ -15,15 +15,15 @@ def vx(level, lamps=(), side=TreeSide.PLUS):
 
 
 def test_unit_charge_on_both_orientations_has_norm_one():
-    # one signed coordinate carries the charge in both orientations
-    v = SparseVector([(SignedEdge(vx(1)), 1)])
+    # one vertex-keyed coordinate carries its edge's charge in both orientations
+    v = SparseVector([(vx(1), 1)])
     assert v.norm_squared() == 1 and type(v.norm_squared()) is int
     assert v.dump_lines() == ["oe T+ [0 | ] -> T+ [1 | ]\t1", "oe T+ [1 | ] -> T+ [0 | ]\t-1"]
     assert (-v).dump_lines() == ["oe T+ [0 | ] -> T+ [1 | ]\t-1", "oe T+ [1 | ] -> T+ [0 | ]\t1"]
 
 
 def test_inner_product_with_zero():
-    v = SparseVector([(SignedEdge(vx(1)), Fraction(3, 2))])
+    v = SparseVector([(vx(1), Fraction(3, 2))])
     assert SparseVector().ip(v) == 0
     assert v.ip(SparseVector()) == 0
 
@@ -37,7 +37,7 @@ def test_geometric_edge_uses_standard_convention():
     assert e == geom_edge(vx(0), vx(1)) == GeomEdge(vx(1))
     assert geom_edge(vx(1, side=minus), vx(0, side=minus)) == GeomEdge(vx(0, side=minus))
     # same edge, different coordinate class: orthogonal
-    signed = SignedEdge(vx(1))
+    signed = vx(1)
     assert e != signed
     assert SparseVector([(e, 1)]).ip(SparseVector([(signed, 1)])) == 0
 
@@ -74,7 +74,7 @@ def test_edges_reject_non_adjacent_endpoints_on_both_trees():
 
 
 def test_vector_arithmetic_prunes_zeros():
-    e = SignedEdge(vx(1))
+    e = vx(1)
     v = SparseVector([(e, 2)])
     w = SparseVector([(e, -2), (LampCoord(0, 1), Fraction(1, 3))])
     total = v + w
@@ -86,7 +86,7 @@ def test_vector_arithmetic_prunes_zeros():
 # a few keys of each class, so drawn entries repeat keys often
 KEYS = [LampCoord(i, c) for i in (-1, 0, 2) for c in (0, 1)]
 for outer in (vx(1), vx(0, [(-1, 1)]), vx(-1, side=TreeSide.MINUS)):
-    KEYS += [GeomEdge(outer), SignedEdge(outer)]
+    KEYS += [GeomEdge(outer), outer]
 SCALARS = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-2, max_value=2, max_denominator=4),
@@ -124,7 +124,7 @@ def test_vector_build_equals_the_accumulated_entries(entries):
 
 
 def test_mixed_class_inner_product():
-    v = SparseVector([(SignedEdge(vx(1)), 2), (LampCoord(1, 0), 3)])
+    v = SparseVector([(vx(1), 2), (LampCoord(1, 0), 3)])
     # 2 * 2 + 3 * 3
     assert v.norm_squared() == 13
     assert v.ip(SparseVector([(LampCoord(1, 0), 1)])) == 3
@@ -134,7 +134,7 @@ def test_dump_is_deterministic_and_ordered():
     a, b = vx(0), vx(1)
     items = [
         (LampCoord(2, 1), 0.5),
-        (SignedEdge(b), 1),
+        (b, 1),
         (geom_edge(a, b), Fraction(7, 2)),
         (LampCoord(-1, 0), 2),
     ]

@@ -107,13 +107,40 @@ MUTANTS = (
         _SPLICE_TESTS,
     ),
     Mutant(
+        "canonical-lamps-skips-modulus",
+        "src/wreathz/wreath.py",
+        "            v %= order\n",
+        "            pass\n",
+        _SPLICE_TESTS,
+    ),
+    Mutant(
         "cocycle-down-charge-flipped-on-minus",
         "src/wreathz/embeddings.py",
-        "    items = [(SignedEdge(w), -s) for w in down]\n",
-        "    items = [(SignedEdge(w), -1) for w in down]\n",
+        "    items = [(w, -s) for w in down]\n",
+        "    items = [(w, -1) for w in down]\n",
         (
             "tests/test_embeddings.py::test_cocycle_identities_random",
             "tests/test_embeddings.py::test_cocycle_equals_the_per_step_reference",
+        ),
+    ),
+    Mutant(
+        "descent-minus-drops-tail-entry-late",
+        "src/wreathz/trees.py",
+        "            if i < end and tail[i][0] == level:\n",
+        "            if i < end and tail[i][0] == level - 1:\n",
+        (
+            "tests/test_trees.py::test_descent_iterates_spine_step",
+            "tests/test_embeddings.py::test_cocycle_equals_the_per_step_reference",
+        ),
+    ),
+    Mutant(
+        "in-place-translation-keeps-zero-sum",
+        "src/wreathz/vectors.py",
+        "    _accumulate(vec._entries, entries)\n",
+        "    acc = vec._entries\n    acc.update([(key, acc.get(key, 0) + value) for key, value in entries])\n",
+        (
+            "tests/test_embeddings.py::test_alpha_is_homomorphism_and_invertible",
+            "tests/test_embeddings.py::test_generators_act_exactly_on_whole_balls",
         ),
     ),
     Mutant(
