@@ -250,7 +250,7 @@ def gamma_action_on_sum(g: WreathElement, vec: SparseVector, h_mode: str) -> Spa
     The linear part permutes each tree's vertex keys through the vertex
     action and the lamp blocks through index translation plus the base
     group's own action on its coordinates; sigma(g)'s items are added in
-    place.  Weighted-tree coordinates have no equivariant action.
+    place.  Weighted-tree coordinates have no equivariant action: rejected.
     """
     validate_h_mode(g.spec, h_mode)
     spec, n = g.spec, g.shift

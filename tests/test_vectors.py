@@ -37,9 +37,9 @@ def test_geometric_edge_uses_standard_convention():
     assert e == geom_edge(vx(0), vx(1)) == GeomEdge(vx(1))
     assert geom_edge(vx(1, side=minus), vx(0, side=minus)) == GeomEdge(vx(0, side=minus))
     # same edge, different coordinate class: orthogonal
-    signed = vx(1)
-    assert e != signed
-    assert SparseVector([(e, 1)]).ip(SparseVector([(signed, 1)])) == 0
+    cocycle_key = vx(1)
+    assert e != cocycle_key
+    assert SparseVector([(e, 1)]).ip(SparseVector([(cocycle_key, 1)])) == 0
 
 
 def test_edge_constructors_validate_adjacency():
