@@ -108,7 +108,9 @@ def parse_group(text: str) -> GroupSpec:
         return INTEGERS
     if s.startswith("Z/"):
         tail = s[2:]
-        if not (tail.isdigit() or (tail.startswith("-") and tail[1:].isdigit())):
+        digits = tail[1:] if tail.startswith("-") else tail
+        # ASCII only: str.isdigit takes digits int() rejects or reads otherwise
+        if not (digits.isascii() and digits.isdigit()):
             raise ParseError("expected an integer after 'Z/'", text, text.find("/") + 1)
         k = int(tail)
         if k < 2:

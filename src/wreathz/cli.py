@@ -127,7 +127,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_ball(args) -> int:
     spec = parse_group(args.group)
-    sizes = enumerate(ball_sizes(cayley_bfs(spec, args.radius, args.budget), args.radius))
+    sizes = enumerate(ball_sizes(cayley_bfs(spec, args.radius, args.budget)))
     if args.format == "csv":
         print("radius,count")
         for r, count in sizes:

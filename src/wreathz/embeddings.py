@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 
 from .basegroups import GroupSpec
 from .trees import TreeSide, TreeVertex, act, base_vertex, dist, dist_from_base, geodesic_halves, vertex_of
@@ -87,7 +86,7 @@ def weighted_tree_embed(v: TreeVertex, base: TreeVertex, eps) -> SparseVector:
     """Sum of k^eps charges on the geodesic edges from v to base, k = 1 at
     the edge adjacent to v.  Weights are irrational, so values are floats."""
     eps = TreeMode.guka(eps).eps
-    down, _, up = geodesic_halves(v, base)
+    down, up = geodesic_halves(v, base)
     e = float(eps)
     return SparseVector((GeomEdge(w), float(k) ** e) for k, w in enumerate(down + up[::-1], 1))
 
@@ -104,7 +103,7 @@ def cocycle(x: TreeVertex, y: TreeVertex) -> SparseVector:
 
 def _cocycle_items(x: TreeVertex, y: TreeVertex) -> list:
     """The items of `cocycle(x, y)`, each keyed by its edge's outer vertex."""
-    down, _, up = geodesic_halves(x, y)
+    down, up = geodesic_halves(x, y)
     s = 1 if x.side is TreeSide.PLUS else -1
     items = [(w, -s) for w in down]
     items += [(w, s) for w in reversed(up)]
@@ -161,7 +160,7 @@ def sigma(x: WreathElement, tree_mode: TreeMode, h_mode: str) -> SparseVector:
 
 # Per weight exponent e2, the prefix sums of float(k) ** e2 over k >= 1, grown
 # on demand: entry d is what sum(float(k) ** e2 for k in range(1, d + 1))
-# returns, 0 (an int) included, because accumulate adds in order and so does
+# returns, 0 (an int) included, because the table adds in order and so does
 # CPython 3.11's float `sum` (3.12+ compensates `sum`, which would differ).
 _WEIGHT_SUMS: dict[float, list] = {}
 
@@ -179,11 +178,8 @@ def identity_distance_squared(x: WreathElement, tree_mode: TreeMode):
     else:
         e2 = 2.0 * float(tree_mode.eps)
         sums = _WEIGHT_SUMS.setdefault(e2, [0])
-        start = len(sums)
-        if start <= max(dp, dm):
-            # at least doubled; the popped last sum comes back as `initial`
-            stop = max(dp, dm, 2 * start - 1) + 1
-            sums += accumulate((float(k) ** e2 for k in range(start, stop)), initial=sums.pop())
+        while len(sums) <= max(dp, dm):
+            sums.append(sums[-1] + float(len(sums)) ** e2)
         total = sums[dp]
         total += sums[dm]
     # lamp_displacement(value)^2 summed inline: this runs once per sample.
@@ -198,10 +194,10 @@ def identity_distance_squared(x: WreathElement, tree_mode: TreeMode):
 class AffineMap:
     """Affine isometry xi -> pi(g) xi + t of one tree's edge space.
 
-    The linear part moves the edge keys of the map's tree through the vertex
-    action of `element` (identity on every other coordinate class); the
-    translation, the cocycle from the base vertex to its image, is added in
-    place into the vector the linear part has just built.
+    The linear part moves the cocycle's vertex keys of the map's tree
+    through the vertex action of `element` (identity on every other key);
+    the translation, the cocycle from the base vertex to its image, is added
+    in place into the vector the linear part has just built.
     """
 
     element: WreathElement
@@ -215,8 +211,6 @@ class AffineMap:
             # act shifts every level by g.shift and commutes with spine_step
             if isinstance(key, TreeVertex) and key.side is side:
                 key = act(g, key)
-            elif isinstance(key, GeomEdge) and key.outer.side is side:
-                key = GeomEdge(act(g, key.outer))
             items.append((key, value))
         return SparseVector(items)
 
@@ -229,11 +223,7 @@ class AffineMap:
         """Composition self after other; matches affine_alpha(self.g * other.g)."""
         if self.base != other.base:
             raise ValueError("affine maps must share a base vertex to compose")
-        return AffineMap(
-            self.element * other.element,
-            self.base,
-            _add_in_place(self.apply_linear(other.translation), self.translation.items()),
-        )
+        return AffineMap(self.element * other.element, self.base, self.apply(other.translation))
 
 
 def affine_alpha(g: WreathElement, base: TreeVertex) -> AffineMap:

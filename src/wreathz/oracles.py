@@ -163,11 +163,11 @@ def cayley_bfs(spec: GroupSpec, radius_cap: int, budget: int | None = None) -> _
     return _Ball(spec, r, found, lamps_of)
 
 
-def ball_sizes(lengths: _Ball, radius: int) -> list[int]:
-    """Cumulative ball sizes for radii 0..radius from a `cayley_bfs` result,
-    counting each layer once."""
+def ball_sizes(lengths: _Ball) -> list[int]:
+    """Cumulative ball sizes for radii 0..R from a `cayley_bfs` result of
+    radius R, counting each layer once."""
     layers = Counter(lengths.values())
-    return list(accumulate(layers[r] for r in range(radius + 1)))
+    return list(accumulate(layers[r] for r in range(lengths._radius + 1)))
 
 
 def tree_bfs_dist(u: TreeVertex, v: TreeVertex, value_radius: int, budget: int | None = None) -> int:

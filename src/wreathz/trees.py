@@ -25,10 +25,6 @@ class TreeSide(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
-    # Members are singletons compared by identity, so the identity hash is
-    # enough and runs in C (Enum's own hash is a Python method).
-    __hash__ = object.__hash__
-
     def __str__(self) -> str:
         return "T+" if self is TreeSide.PLUS else "T-"
 
@@ -151,9 +147,7 @@ def meet_level(u: TreeVertex, v: TreeVertex) -> int:
 def dist(u: TreeVertex, v: TreeVertex) -> int:
     """Tree distance, without materializing the geodesic."""
     k = meet_level(u, v)
-    if u.side is TreeSide.PLUS:
-        return (u.level - k) + (v.level - k)
-    return (k - u.level) + (k - v.level)
+    return abs(u.level - k) + abs(v.level - k)
 
 
 def spine_step(level: int, tail: LampConfig, plus: bool) -> tuple[int, LampConfig]:
@@ -190,42 +184,43 @@ def truncated_neighbors(values, plus_side: bool):
 
 
 def _descent(v: TreeVertex, target_level: int) -> list[TreeVertex]:
-    """Vertices from v down to target_level inclusive: `spine_step` iterated,
-    each tail a slice of v's, cut where the level passes its entries."""
+    """Vertices from v down to target_level, without the vertex there:
+    `spine_step` iterated, each tail a slice of v's, cut where the level
+    passes its entries.  Each is the outer end of the edge it steps down."""
+    if v.level == target_level:
+        return []
     spec, side, tail = v.spec, v.side, v.tail
     out = [v]
     if side is TreeSide.PLUS:
         i = len(tail)
-        for level in range(v.level - 1, target_level - 1, -1):
+        for level in range(v.level - 1, target_level, -1):
             if i and tail[i - 1][0] == level:
                 i -= 1
             out.append(TreeVertex(spec, side, level, tail[:i]))
     else:
         i, end = 0, len(tail)
-        for level in range(v.level + 1, target_level + 1):
+        for level in range(v.level + 1, target_level):
             if i < end and tail[i][0] == level:
                 i += 1
             out.append(TreeVertex(spec, side, level, tail[i:]))
     return out
 
 
-def geodesic_halves(u: TreeVertex, v: TreeVertex) -> tuple[list[TreeVertex], TreeVertex, list[TreeVertex]]:
-    """The geodesic from u to v as (down, meet, up): the descents of u and of
-    v to their meet, without it.  A descent vertex is the outer end of the
-    edge it steps down (upper on T+, lower on T-), so `down` and `up` are the
+def geodesic_halves(u: TreeVertex, v: TreeVertex) -> tuple[list[TreeVertex], list[TreeVertex]]:
+    """The geodesic from u to v as (down, up): the descents of u and of v to
+    their meet, without it.  A descent vertex is the outer end of the edge it
+    steps down (upper on T+, lower on T-), so `down` and `up` are the
     geodesic's edge keys."""
     k = meet_level(u, v)
-    down, up = _descent(u, k), _descent(v, k)
-    meet = down.pop()
-    up.pop()  # the meet again
-    return down, meet, up
+    return _descent(u, k), _descent(v, k)
 
 
 def geodesic(u: TreeVertex, v: TreeVertex) -> list[TreeVertex]:
     """The unique geodesic from u to v: u descends to the meet, then climbs
     to v along the reversed descent of v."""
-    down, meet, up = geodesic_halves(u, v)
-    return [*down, meet, *reversed(up)]
+    k = meet_level(u, v)
+    meet = TreeVertex(u.spec, u.side, k, _restrict(u.tail, u.side, k))
+    return [*_descent(u, k), meet, *reversed(_descent(v, k))]
 
 
 def dist_from_base(x: WreathElement, side: TreeSide) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .trees import TreeSide, TreeVertex, format_vertex, spine_step
 
@@ -27,19 +27,10 @@ from .trees import TreeSide, TreeVertex, format_vertex, spine_step
 class GeomEdge:
     """Unoriented tree edge keyed by its outer endpoint, whose `spine_step` is
     the other one: the upper end on the plus tree, the lower end on the minus
-    tree.  Every vertex is the outer end of exactly one edge, so the edge
-    hashes as that vertex (whose hash is stored) but differs from it as a key."""
+    tree.  Every vertex is the outer end of exactly one edge; the edge and
+    that vertex are distinct keys."""
 
     outer: TreeVertex
-
-    def __init__(self, outer: TreeVertex):
-        _set_outer(self, outer)
-
-    def __hash__(self) -> int:
-        return self.outer._hash
-
-
-_set_outer = GeomEdge.outer.__set__
 
 
 def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
@@ -54,20 +45,11 @@ def geom_edge(u: TreeVertex, v: TreeVertex) -> GeomEdge:
     raise ValueError("edge endpoints must be adjacent")
 
 
-@dataclass(frozen=True, slots=True)
-class LampCoord:
+class LampCoord(NamedTuple):
     """Coordinate `coord` of the lamp-index-`index` copy of the base space."""
 
     index: int
     coord: int
-
-    def __init__(self, index: int, coord: int):
-        _set_index(self, index)
-        _set_coord(self, coord)
-
-
-_set_index = LampCoord.index.__set__
-_set_coord = LampCoord.coord.__set__
 
 
 CoordKey = Union[TreeVertex, GeomEdge, LampCoord]

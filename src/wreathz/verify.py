@@ -178,7 +178,7 @@ def check_word_length_oracle(cfg: VerifyConfig):
         bad = next((x for x, d in lengths.items() if x.word_length() != d), None)
         if bad is not None:
             return False, f"{spec}: formula != BFS at {format_element(bad)}"
-        sizes = ball_sizes(lengths, radius)
+        sizes = ball_sizes(lengths)
         if sizes != frozen:
             return False, f"{spec}: ball sizes {sizes} != frozen {frozen}"
     return True, f"formula = BFS on {Z2_BALL_SIZES[-1]} + {Z3_BALL_SIZES[-1]} elements"

@@ -151,7 +151,7 @@ class _Scanner:
         if self.peek() in "+-":
             self.pos += 1
         digits = self.pos
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":  # ASCII only: str.isdigit takes other digits
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", self.text, self.pos)

@@ -97,6 +97,11 @@ def test_parse_group():
         parse_group("Z/1")
     with pytest.raises(ParseError):
         parse_group("S3")
+    # only ASCII digits: int() rejects '²' and reads '٣' as 3
+    for text in ("Z/abc", "Z/²", "Z/٣"):
+        with pytest.raises(ParseError, match="^expected an integer after 'Z/'$") as exc:
+            parse_group(text)
+        assert exc.value.caret_message().splitlines()[-1] == "    ^"
     with pytest.raises(ValueError):
         cyclic(1)
 

@@ -200,8 +200,16 @@ def test_bounds_command(capsys):
         (("properness", "--group", "Z/2", "--radius", "1/0"), "error: zero denominator in radius '1/0'\n"),
         (("bounds", "x"), "error: invalid base compression 'x'\n"),
         (("properness", "--group", "Z/2", "--radius", "abc"), "error: invalid radius 'abc'\n"),
+        (
+            ("embed", "--group", "Z/2", "--tree-mode", "guka:1/0", "(;1)"),
+            "error: bad weight exponent in tree mode 'guka:1/0'\n",
+        ),
+        (
+            ("embed", "--group", "Z/2", "--tree-mode", "guka:abc", "(;1)"),
+            "error: bad weight exponent in tree mode 'guka:abc'\n",
+        ),
     ],
-    ids=("bounds", "properness", "bounds-malformed", "properness-malformed"),
+    ids=("bounds", "properness", "bounds-malformed", "properness-malformed", "tree-mode", "tree-mode-malformed"),
 )
 def test_zero_denominator_names_the_literal(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", message)

@@ -210,14 +210,14 @@ def test_budget_env_var(monkeypatch):
 
 
 def test_ball_sizes():
-    sizes = ball_sizes(cayley_bfs(Z2, 4), 4)
+    sizes = ball_sizes(cayley_bfs(Z2, 4))
     assert sizes == Z2_BALL_SIZES[:5]
     assert all(a <= b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_ball_sizes_keep_the_radius_filter_in_order():
     lengths = cayley_bfs(Z2, 8)
-    sizes = ball_sizes(lengths, 8)
+    sizes = ball_sizes(lengths)
     assert sizes == Z2_BALL_SIZES
     for r, size in enumerate(sizes):
         assert size == sum(1 for d in lengths.values() if d <= r)

@@ -13,6 +13,7 @@ from wreathz import (
     cyclic,
     format_element,
     parse_element,
+    parse_group,
     travel_length,
 )
 from wreathz.verify import random_element
@@ -210,6 +211,9 @@ def test_parse_accepts_whitespace_and_normalizes():
         ("(1@1,1@0;0)", "strictly increasing"),
         ("(;0) junk", "trailing"),
         ("(;)", "expected an integer"),
+        # only ASCII digits: int() rejects '²' and reads '٣' as 3
+        ("(1@²;0)", "expected an integer"),
+        ("(1@1;٣)", "expected an integer"),
     ],
 )
 def test_parse_errors_carry_position(text, fragment):
@@ -219,3 +223,24 @@ def test_parse_errors_carry_position(text, fragment):
     assert text in msg and "^" in msg
     caret_line = msg.splitlines()[-1]
     assert 0 <= caret_line.index("^") - 2 <= len(text)
+
+
+# literal characters, digits that str.isdigit accepts but int() does not
+# read as ASCII, and any text at all
+LITERAL_TEXT = st.one_of(st.text("()@;,+-/ 0123456789Z²①٣x"), st.text())
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(LITERAL_TEXT)
+def test_parsers_raise_only_parse_errors(text):
+    parsers = (
+        parse_group,
+        lambda t: parse_group("Z/" + t),
+        lambda t: parse_element(Z2, t),
+        lambda t: parse_element(INTEGERS, t),
+    )
+    for parse in parsers:
+        try:
+            parse(text)
+        except ParseError:
+            pass

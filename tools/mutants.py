@@ -134,6 +134,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "geodesic-meet-keeps-unrestricted-tail",
+        "src/wreathz/trees.py",
+        "TreeVertex(u.spec, u.side, k, _restrict(u.tail, u.side, k))",
+        "TreeVertex(u.spec, u.side, k, u.tail)",
+        ("tests/test_trees.py::test_geodesic_halves_are_the_outer_ends_of_its_edges",),
+    ),
+    Mutant(
+        "descent-keeps-the-vertex-at-the-target",
+        "src/wreathz/trees.py",
+        "    if v.level == target_level:\n        return []\n",
+        "",
+        ("tests/test_trees.py::test_descent_iterates_spine_step",),
+    ),
+    Mutant(
         "in-place-translation-keeps-zero-sum",
         "src/wreathz/vectors.py",
         "    _accumulate(vec._entries, entries)\n",
@@ -196,8 +210,8 @@ MUTANTS = (
     Mutant(
         "weights-never-regrown",
         "src/wreathz/embeddings.py",
-        "        if start <= max(dp, dm):\n",
-        "        if start == 1:\n",
+        "        while len(sums) <= max(dp, dm):\n",
+        "        while len(sums) <= dp:\n",
         ("tests/test_compression.py::test_guka_distance_past_the_first_weight_table", _SAMPLER_REFERENCE),
     ),
     Mutant(
@@ -236,6 +250,16 @@ MUTANTS = (
         ("tests/test_oracles.py::test_ball_views_agree_in_discovery_order", _CAYLEY_REFERENCE),
     ),
     Mutant(
+        "ball-sizes-one-radius-short",
+        "src/wreathz/oracles.py",
+        "range(lengths._radius + 1)",
+        "range(lengths._radius)",
+        (
+            "tests/test_oracles.py::test_ball_sizes",
+            "tests/test_oracles.py::test_ball_sizes_keep_the_radius_filter_in_order",
+        ),
+    ),
+    Mutant(
         "properness-filter-strict",
         "src/wreathz/oracles.py",
         "members = {x for x in candidates if _distance_pth(x, p, costs) <= limit}",
@@ -268,6 +292,26 @@ MUTANTS = (
         "0",
         # an under-pruning search finds the same members; only the stored count shows it
         ("tests/test_oracles.py::test_properness_budget_is_a_hard_cap",),
+    ),
+    Mutant(
+        "element-parser-takes-any-digit",
+        "src/wreathz/wreath.py",
+        'while "0" <= self.peek() <= "9":',
+        "while self.peek().isdigit():",
+        (
+            "tests/test_wreath.py::test_parse_errors_carry_position",
+            "tests/test_wreath.py::test_parsers_raise_only_parse_errors",
+        ),
+    ),
+    Mutant(
+        "group-parser-takes-any-digit",
+        "src/wreathz/basegroups.py",
+        "if not (digits.isascii() and digits.isdigit()):",
+        "if not digits.isdigit():",
+        (
+            "tests/test_basegroups.py::test_parse_group",
+            "tests/test_wreath.py::test_parsers_raise_only_parse_errors",
+        ),
     ),
     Mutant(
         "audit-lipschitz-skips-mode-check",
