@@ -365,8 +365,9 @@ def test_geodesic_halves_are_the_outer_ends_of_its_edges(pair):
     # checked against the independent two-vertex boundary builder
     u, v = pair
     down, up = geodesic_halves(u, v)
-    assert [geom_edge(a, b).outer for a, b in pairwise(geodesic(u, v))] == down + up[::-1]
-    assert geodesic(u, v)[len(down)].level == meet_level(u, v) and len(down) + len(up) == dist(u, v)
+    path = geodesic(u, v)
+    assert [geom_edge(a, b).outer for a, b in pairwise(path)] == down + up[::-1]
+    assert path[len(down)].level == meet_level(u, v) and len(down) + len(up) == dist(u, v)
     assert geodesic_halves(v, u) == (up, down)
 
 
